@@ -191,6 +191,12 @@ def _matching_args(args) -> tuple[int, MatchingMode]:
     return tolerance, mode
 
 
+def _ci_level(args, config: Optional[AnalysisConfig]) -> float:
+    if args.ci_level is not None:  # an invalid level such as 0 is rejected downstream, not replaced
+        return args.ci_level
+    return config.ci_level if config else 0.95
+
+
 def _load_context(args) -> tuple[EvidenceBase, Optional[AnalysisConfig]]:
     base = parse_evidence(args.input)
     config = load_config(args.config, base) if getattr(args, "config", None) else None
@@ -312,7 +318,7 @@ def _cmd_analyze(args) -> int:
         base, endpoint, args.estimand, config=config, tolerance_weeks=tolerance, mode=mode
     )
     reference = args.reference or (config.reference if config else None)
-    ci_level = args.ci_level or (config.ci_level if config else 0.95)
+    ci_level = _ci_level(args, config)
     result = run_analysis(
         base, meta, endpoint, reference=reference, ci_level=ci_level, force=args.force
     )
@@ -365,7 +371,7 @@ def _cmd_compare(args) -> int:
     endpoint = _resolve_endpoint(base, args.endpoint)
     tolerance, mode = _matching_args(args)
     reference = args.reference or (config.reference if config else None)
-    ci_level = args.ci_level or (config.ci_level if config else 0.95)
+    ci_level = _ci_level(args, config)
     results = {}
     for label in args.estimands:
         meta = resolve_meta(

@@ -11,7 +11,7 @@ design; no explicit inverse of the covariance is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -73,7 +73,7 @@ def trial_covariance(
         )
     signs = []
     for c in contrasts:
-        t, comp = canonical(c.treatment), canonical(c.comparator)
+        t, comp = c.treatment_key, c.comparator_key
         for arm in (t, comp):
             if arm not in arm_variances:
                 raise CovarianceError(
@@ -140,16 +140,15 @@ def assemble_gls(
     y = np.array([c.md for c in contrasts])
     design = np.zeros((m, p))
     for i, c in enumerate(contrasts):
-        t, comp = canonical(c.treatment), canonical(c.comparator)
-        if t in columns:
-            design[i, columns[t]] = 1.0
-        if comp in columns:
-            design[i, columns[comp]] = -1.0
+        if c.treatment_key in columns:
+            design[i, columns[c.treatment_key]] = 1.0
+        if c.comparator_key in columns:
+            design[i, columns[c.comparator_key]] = -1.0
 
     sigma = np.zeros((m, m))
     row = 0
     for trial_id, group in _group_by_trial(contrasts):
-        labels = {canonical(c.estimand_label) for c in group}
+        labels = {c.label_key for c in group}
         if len(labels) > 1:
             raise EngineError(
                 f"trial {trial_id!r} contributes contrasts under several estimands: {sorted(labels)}"
@@ -187,7 +186,7 @@ def _block_for_trial(
     if len(group) == 1:
         return trial_covariance(group)
     sample = group[0]
-    arms = {canonical(c.treatment) for c in group} | {canonical(c.comparator) for c in group}
+    arms = {c.treatment_key for c in group} | {c.comparator_key for c in group}
     variances: dict[str, float] = {}
     for arm in arms:
         summary = base.arm_summary(sample.trial_id, sample.estimand_label, sample.endpoint, arm)
@@ -227,6 +226,13 @@ class NmaResult:
     condition_number: float
     notes: tuple[str, ...] = ()
     provenance: Optional[Any] = None
+    # canonical treatment -> design column; the reference maps to None
+    columns: Mapping[str, Optional[int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        columns: dict[str, Optional[int]] = {canonical(self.reference): None}
+        columns.update((canonical(node), j) for j, node in enumerate(self.parameters))
+        object.__setattr__(self, "columns", columns)
 
     def basic_estimate(self, treatment: str) -> float:
         """Effect of a treatment vs the reference (zero for the reference itself)."""
@@ -282,13 +288,12 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
 
 def _contrast_vector(result: NmaResult, a: str, b: str) -> np.ndarray:
     vector = np.zeros(len(result.parameters))
-    columns = {canonical(node): j for j, node in enumerate(result.parameters)}
     for node, sign in ((a, 1.0), (b, -1.0)):
         key = canonical(node)
-        if key in columns:
-            vector[columns[key]] += sign
-        elif key != canonical(result.reference):
+        if key not in result.columns:
             raise EngineError(f"unknown treatment {node!r}")
+        if result.columns[key] is not None:
+            vector[result.columns[key]] += sign
     return vector
 
 
@@ -314,9 +319,9 @@ def comparison(result: NmaResult, a: str, b: str, level: float | None = None) ->
 def league_table(result: NmaResult, level: float | None = None) -> tuple[ComparisonResult, ...]:
     """Every ordered pair of distinct treatments, in deterministic node order."""
     rows = []
-    for a in result.treatments:
-        for b in result.treatments:
-            if canonical(a) != canonical(b):
+    for i, a in enumerate(result.treatments):
+        for j, b in enumerate(result.treatments):
+            if i != j:  # nodes are distinct treatments
                 rows.append(comparison(result, a, b, level))
     return tuple(rows)
 

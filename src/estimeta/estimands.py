@@ -61,11 +61,6 @@ class SummaryMeasure(enum.Enum):
         raise ValueError(f"unknown summary measure {token!r}")
 
 
-class Direction(enum.Enum):
-    LOWER_IS_BETTER = "lower_is_better"
-    HIGHER_IS_BETTER = "higher_is_better"
-
-
 class MatchingMode(enum.Enum):
     STRICT = "strict"
     LENIENT = "lenient"
@@ -92,20 +87,19 @@ class EndpointSpec:
     name: str
     units: str
     timepoint_weeks: int
-    direction: Direction = Direction.LOWER_IS_BETTER
+    # Canonical name (groups contrasts and arm summaries) and units.
+    key: str = field(init=False, repr=False, compare=False)
+    units_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not canonical(self.name):
+        object.__setattr__(self, "key", canonical(self.name))
+        object.__setattr__(self, "units_key", canonical(self.units))
+        if not self.key:
             raise ValueError("endpoint name must be nonempty")
-        if not self.units.strip():
+        if not self.units_key:
             raise ValueError("endpoint units must be nonempty")
         if self.timepoint_weeks <= 0:
             raise ValueError(f"timepoint_weeks must be positive, got {self.timepoint_weeks}")
-
-    @property
-    def key(self) -> str:
-        """Canonical name used to group contrasts and arm summaries."""
-        return canonical(self.name)
 
 
 def _freeze_handlings(
@@ -130,12 +124,18 @@ class Estimand:
     endpoint: EndpointSpec
     summary_measure: SummaryMeasure
     ie_handlings: tuple[IntercurrentEventHandling, ...]
+    label_key: str = field(init=False, repr=False, compare=False)
+    population_key: str = field(init=False, repr=False, compare=False)
+    treatment_keys: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "treatments", frozenset(normalize_id(t) for t in self.treatments))
         if len(self.treatments) < 2:
             raise ValueError("a comparative estimand needs at least two treatments")
         object.__setattr__(self, "ie_handlings", _freeze_handlings(self.ie_handlings))
+        object.__setattr__(self, "label_key", canonical(self.label))
+        object.__setattr__(self, "population_key", canonical(self.population))
+        object.__setattr__(self, "treatment_keys", frozenset(canonical(t) for t in self.treatments))
 
     def strategy_for(self, event_name: str) -> Optional[IntercurrentEventStrategy]:
         """Declared strategy for an event, or None if the trial never declared it."""
@@ -230,8 +230,8 @@ class AttributeDiff:
         )
 
 
-def _text_verdict(a: str, b: str) -> Verdict:
-    ca, cb = canonical(a), canonical(b)
+def _text_verdict(ca: str, cb: str) -> Verdict:
+    """Verdict on two canonical texts."""
     if ca == cb:
         return Verdict.IDENTICAL
     if set(ca.split()) & set(cb.split()):
@@ -239,9 +239,8 @@ def _text_verdict(a: str, b: str) -> Verdict:
     return Verdict.DISJOINT
 
 
-def _set_verdict(a: frozenset[str], b: frozenset[str]) -> Verdict:
-    ca = {canonical(x) for x in a}
-    cb = {canonical(x) for x in b}
+def _set_verdict(ca: frozenset[str], cb: frozenset[str]) -> Verdict:
+    """Verdict on two sets of canonical ids."""
     if ca == cb:
         return Verdict.IDENTICAL
     if ca & cb:
@@ -259,7 +258,7 @@ def compare_estimands(a: Estimand, b: Estimand) -> AttributeDiff:
     """
     notes: list[str] = []
 
-    if a.endpoint.key == b.endpoint.key and canonical(a.endpoint.units) == canonical(b.endpoint.units):
+    if a.endpoint.key == b.endpoint.key and a.endpoint.units_key == b.endpoint.units_key:
         if a.endpoint.timepoint_weeks == b.endpoint.timepoint_weeks:
             endpoint = Verdict.IDENTICAL
         else:
@@ -294,8 +293,8 @@ def compare_estimands(a: Estimand, b: Estimand) -> AttributeDiff:
         notes.append(f"event {name!r}: {sa.value} vs {sb.value}")
 
     return AttributeDiff(
-        population=_text_verdict(a.population, b.population),
-        treatments=_set_verdict(a.treatments, b.treatments),
+        population=_text_verdict(a.population_key, b.population_key),
+        treatments=_set_verdict(a.treatment_keys, b.treatment_keys),
         endpoint=endpoint,
         summary_measure=Verdict.IDENTICAL if a.summary_measure is b.summary_measure else Verdict.DISJOINT,
         intercurrent_events=ie,
@@ -351,7 +350,7 @@ def matches_meta(trial_estimand: Estimand, meta: MetaEstimand) -> MatchVerdict:
         blockers.append(detail)
 
     te, me = trial_estimand.endpoint, meta.endpoint
-    if te.key != me.key or canonical(te.units) != canonical(me.units):
+    if te.key != me.key or te.units_key != me.units_key:
         detail = f"endpoint {te.name!r} [{te.units}] vs {me.name!r} [{me.units}]"
         attrs["endpoint"] = AttributeCheck("fail", detail)
         blockers.append(detail)
@@ -393,15 +392,14 @@ def matches_meta(trial_estimand: Estimand, meta: MetaEstimand) -> MatchVerdict:
     blockers.extend(ie_blockers)
     warnings.extend(ie_warnings)
 
-    if canonical(trial_estimand.population) != canonical(meta.population):
+    if trial_estimand.population_key != meta.population_key:
         detail = f"population differs: {trial_estimand.population!r} vs {meta.population!r}"
         attrs["population"] = AttributeCheck("warn", detail)
         warnings.append(detail)
     else:
         attrs["population"] = AttributeCheck("ok")
 
-    trial_treatments = {canonical(t) for t in trial_estimand.treatments}
-    meta_treatments = {canonical(t) for t in meta.treatments}
+    trial_treatments, meta_treatments = trial_estimand.treatment_keys, meta.treatment_keys
     if not trial_treatments <= meta_treatments:
         extra = sorted(trial_treatments - meta_treatments)
         detail = "treatments outside meta scope: " + ", ".join(extra)

@@ -2,6 +2,8 @@
 
 Accepts a section-tagged CSV or a nested JSON document describing trials,
 trial-level estimands, relative-effect contrasts, and per-arm summaries.
+Both formats are tokenized into the same records (one dict per CSV row or
+JSON array element), and one builder turns records into entities.
 Uncertainty is completed at parse time: a contrast may carry a reported
 standard error, a confidence interval (SE back-calculated from its width),
 or nothing at all, in which case the SE is derived from the two arms'
@@ -15,12 +17,12 @@ import enum
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Mapping, Optional, Sequence, Union
+from typing import IO, Iterator, Mapping, Optional, Union
 
 from .estimands import (
-    Direction,
     EndpointSpec,
     Estimand,
     IntercurrentEventHandling,
@@ -59,6 +61,35 @@ class UncertaintySource(enum.Enum):
     FROM_ARMS = "from_arms"
 
 
+def _number(value, name: str) -> float:
+    """A finite plain float from a number or a numeral."""
+    if isinstance(value, bool):  # JSON true/false is not a number
+        raise ValueError(f"field {name!r} is not a number: {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"field {name!r} is not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"field {name!r} must be finite: {value!r}")
+    return number
+
+
+def _integer(value, name: str) -> int:
+    """A plain int from an integral number or numeral; a fraction is an error, not truncated."""
+    number = _number(value, name)
+    if not number.is_integer():
+        raise ValueError(f"field {name!r} is not an integer: {value!r}")
+    return int(number)
+
+
+def _coerce(entity, convert, *names: str) -> None:
+    """Replace each named numeric field of a frozen entity by its converted value."""
+    for name in names:
+        value = getattr(entity, name)
+        if value is not None:
+            object.__setattr__(entity, name, convert(value, name))
+
+
 @dataclass(frozen=True)
 class ArmSummary:
     """One arm's mean change from baseline with its confidence interval."""
@@ -72,22 +103,29 @@ class ArmSummary:
     ci_lower: float
     ci_upper: float
     ci_level: float = 0.95
+    label_key: str = field(init=False, repr=False, compare=False)
+    treatment_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trial_id", normalize_id(self.trial_id))
         object.__setattr__(self, "treatment", normalize_id(self.treatment))
         object.__setattr__(self, "endpoint", canonical(self.endpoint))
         object.__setattr__(self, "estimand_label", normalize_id(self.estimand_label))
+        object.__setattr__(self, "label_key", canonical(self.estimand_label))
+        object.__setattr__(self, "treatment_key", canonical(self.treatment))
+        _coerce(self, _integer, "n_randomized")
+        _coerce(self, _number, "mean_change", "ci_lower", "ci_upper", "ci_level")
         if self.n_randomized < 1:
             raise ValueError(f"n_randomized must be >= 1, got {self.n_randomized}")
-        if not math.isfinite(self.mean_change):
-            raise ValueError("mean_change must be finite")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError(f"ci_level must lie in (0, 1), got {self.ci_level}")
-        if not (math.isfinite(self.ci_lower) and math.isfinite(self.ci_upper)):
-            raise ValueError("confidence bounds must be finite")
         if self.ci_lower >= self.ci_upper:
             raise ValueError(f"ci_lower must be below ci_upper, got ({self.ci_lower}, {self.ci_upper})")
+
+    @property
+    def key(self) -> tuple[str, str, str, str]:
+        """(trial, estimand label key, endpoint key, treatment key)."""
+        return (self.trial_id, self.label_key, self.endpoint, self.treatment_key)
 
     @property
     def se(self) -> float:
@@ -113,6 +151,9 @@ class ContrastEstimate:
     ci_lower: Optional[float] = None
     ci_upper: Optional[float] = None
     ci_level: Optional[float] = None
+    label_key: str = field(init=False, repr=False, compare=False)
+    treatment_key: str = field(init=False, repr=False, compare=False)
+    comparator_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trial_id", normalize_id(self.trial_id))
@@ -120,22 +161,18 @@ class ContrastEstimate:
         object.__setattr__(self, "comparator", normalize_id(self.comparator))
         object.__setattr__(self, "endpoint", canonical(self.endpoint))
         object.__setattr__(self, "estimand_label", normalize_id(self.estimand_label))
-        if canonical(self.treatment) == canonical(self.comparator):
+        object.__setattr__(self, "label_key", canonical(self.estimand_label))
+        object.__setattr__(self, "treatment_key", canonical(self.treatment))
+        object.__setattr__(self, "comparator_key", canonical(self.comparator))
+        _coerce(self, _number, "md", "se", "ci_lower", "ci_upper", "ci_level")
+        if self.treatment_key == self.comparator_key:
             raise ValueError(f"contrast compares {self.treatment!r} with itself")
-        if not math.isfinite(self.md):
-            raise ValueError("md must be finite")
-        if not (math.isfinite(self.se) and self.se > 0.0):
+        if not self.se > 0.0:
             raise ValueError(f"se must be a positive finite number, got {self.se!r}")
 
     @property
     def key(self) -> tuple[str, str, str, str, str]:
-        return (
-            self.trial_id,
-            canonical(self.treatment),
-            canonical(self.comparator),
-            self.endpoint,
-            canonical(self.estimand_label),
-        )
+        return (self.trial_id, self.treatment_key, self.comparator_key, self.endpoint, self.label_key)
 
 
 def contrast_from_arms(a: ArmSummary, b: ArmSummary) -> ContrastEstimate:
@@ -144,11 +181,11 @@ def contrast_from_arms(a: ArmSummary, b: ArmSummary) -> ContrastEstimate:
         raise ValueError(f"arms belong to different trials: {a.trial_id!r} vs {b.trial_id!r}")
     if a.endpoint != b.endpoint:
         raise ValueError(f"arms report different endpoints: {a.endpoint!r} vs {b.endpoint!r}")
-    if canonical(a.estimand_label) != canonical(b.estimand_label):
+    if a.label_key != b.label_key:
         raise ValueError(
             f"arms report different estimands: {a.estimand_label!r} vs {b.estimand_label!r}"
         )
-    if canonical(a.treatment) == canonical(b.treatment):
+    if a.treatment_key == b.treatment_key:
         raise ValueError(f"both arms are {a.treatment!r}")
     return ContrastEstimate(
         trial_id=a.trial_id,
@@ -169,6 +206,10 @@ class TrialRecord:
     trial_id: str
     arms: tuple[str, ...]
     estimands: Mapping[tuple[str, str], Estimand]  # (label key, endpoint key)
+    arm_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)  # canonical arms, in order
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "arm_keys", tuple(canonical(a) for a in self.arms))
 
     def estimand_for(self, label: str, endpoint_key: str) -> Optional[Estimand]:
         return self.estimands.get((canonical(label), canonical(endpoint_key)))
@@ -177,11 +218,8 @@ class TrialRecord:
     def labels(self) -> tuple[str, ...]:
         seen: dict[str, str] = {}
         for est in self.estimands.values():
-            seen.setdefault(canonical(est.label), est.label)
+            seen.setdefault(est.label_key, est.label)
         return tuple(seen.values())
-
-    def arm_set(self) -> frozenset[str]:
-        return frozenset(canonical(a) for a in self.arms)
 
 
 @dataclass(frozen=True)
@@ -191,20 +229,21 @@ class EvidenceBase:
     trials: Mapping[str, TrialRecord]
     contrasts: tuple[ContrastEstimate, ...]
     arm_summaries: tuple[ArmSummary, ...]
+    _arm_index: Mapping[tuple[str, str, str, str], ArmSummary] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        index: dict[tuple[str, str, str, str], ArmSummary] = {}
+        for arm in self.arm_summaries:
+            index.setdefault(arm.key, arm)
+        object.__setattr__(self, "_arm_index", index)
 
     def arm_summary(
         self, trial_id: str, estimand_label: str, endpoint_key: str, treatment: str
     ) -> Optional[ArmSummary]:
-        label, key, treat = canonical(estimand_label), canonical(endpoint_key), canonical(treatment)
-        for arm in self.arm_summaries:
-            if (
-                arm.trial_id == trial_id
-                and canonical(arm.estimand_label) == label
-                and arm.endpoint == key
-                and canonical(arm.treatment) == treat
-            ):
-                return arm
-        return None
+        key = (trial_id, canonical(estimand_label), canonical(endpoint_key), canonical(treatment))
+        return self._arm_index.get(key)
 
     def endpoint_keys(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -225,15 +264,15 @@ class EvidenceBase:
     def treatments(self) -> tuple[str, ...]:
         seen: dict[str, str] = {}
         for trial in self.trials.values():
-            for arm in trial.arms:
-                seen.setdefault(canonical(arm), arm)
+            for arm, key in zip(trial.arms, trial.arm_keys):
+                seen.setdefault(key, arm)
         return tuple(seen.values())
 
     def estimand_of(self, contrast: ContrastEstimate) -> Optional[Estimand]:
         trial = self.trials.get(contrast.trial_id)
         if trial is None:
             return None
-        return trial.estimand_for(contrast.estimand_label, contrast.endpoint)
+        return trial.estimands.get((contrast.label_key, contrast.endpoint))
 
 
 @dataclass(frozen=True)
@@ -244,7 +283,8 @@ class Issue:
 
 # --- parsing ---------------------------------------------------------------
 
-_SECTION_HEADERS = {
+# Fields of each section's records, in CSV column order.
+_SECTION_FIELDS = {
     "trials": ["trial_id", "arms"],
     "estimands": [
         "trial_id",
@@ -281,392 +321,279 @@ _SECTION_HEADERS = {
     ],
 }
 
+_REQUIRED = object()
 
-def _parse_float(text: str, field: str, locator: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise EvidenceFormatError(f"field {field!r} is not a number: {text!r}", locator=locator) from None
-    if not math.isfinite(value):
-        raise EvidenceFormatError(f"field {field!r} must be finite: {text!r}", locator=locator)
+
+def _field(record: Mapping, name: str, default=_REQUIRED):
+    """A field of a record; JSON null and an empty CSV cell count as absent."""
+    value = record.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"missing field {name!r}")
+        return default
     return value
 
 
-def _parse_int(text: str, field: str, locator: str) -> int:
+def _text(record: Mapping, name: str) -> str:
+    value = _field(record, name)
+    if not isinstance(value, str):
+        raise TypeError(f"field {name!r} must be text, got {value!r}")
+    return value
+
+
+def _optional_number(record: Mapping, name: str) -> Optional[float]:
+    value = record.get(name)
+    return None if value is None else _number(value, name)
+
+
+def _handlings(record: Mapping) -> tuple[IntercurrentEventHandling, ...]:
+    items = _field(record, "ie_handlings", [])
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise TypeError("field 'ie_handlings' must be a list of {event_name, strategy} objects")
+    return tuple(
+        IntercurrentEventHandling(
+            _text(item, "event_name"), IntercurrentEventStrategy.parse(_text(item, "strategy"))
+        )
+        for item in items
+    )
+
+
+@contextmanager
+def _located(locator: str) -> Iterator[None]:
+    """Report a ValueError or TypeError raised for one record as a format error at its locator."""
     try:
-        return int(text)
-    except ValueError:
-        raise EvidenceFormatError(f"field {field!r} is not an integer: {text!r}", locator=locator) from None
-
-
-def _parse_handlings(text: str, locator: str) -> tuple[IntercurrentEventHandling, ...]:
-    handlings = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if ":" not in chunk:
-            raise EvidenceFormatError(
-                f"intercurrent-event entry {chunk!r} is not of the form event:strategy",
-                locator=locator,
-            )
-        event, strategy = chunk.rsplit(":", 1)
-        try:
-            handlings.append(
-                IntercurrentEventHandling(event, IntercurrentEventStrategy.parse(strategy))
-            )
-        except ValueError as exc:
-            raise EvidenceFormatError(str(exc), locator=locator) from None
-    return tuple(handlings)
+        yield
+    except EvidenceFormatError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise EvidenceFormatError(str(exc), locator=locator) from None
 
 
 class _Builder:
-    """Accumulates raw records and assembles a validated EvidenceBase."""
+    """Turns section records, whichever format they came from, into an EvidenceBase."""
 
     def __init__(self) -> None:
         self.trials: dict[str, TrialRecord] = {}
-        self.estimands: dict[str, dict[tuple[str, str], Estimand]] = {}
-        self.arm_rows: list[ArmSummary] = []
-        self.contrast_rows: list[tuple[dict, str]] = []  # raw fields + locator
+        self.arms: dict[tuple[str, str, str, str], ArmSummary] = {}
+        self.contrast_records: list[tuple[Mapping, str]] = []
 
-    def add_trial(self, trial_id: str, arms: Sequence[str], locator: str) -> None:
-        trial_id = normalize_id(trial_id)
-        if not trial_id:
-            raise EvidenceFormatError("trial_id is empty", locator=locator)
-        if trial_id in self.trials:
-            raise EvidenceFormatError(f"duplicate trial {trial_id!r}", locator=locator)
-        cleaned = tuple(normalize_id(a) for a in arms if normalize_id(a))
-        if len(cleaned) < 2:
-            raise EvidenceFormatError(f"trial {trial_id!r} needs at least two arms", locator=locator)
-        if len({canonical(a) for a in cleaned}) != len(cleaned):
-            raise EvidenceFormatError(f"trial {trial_id!r} lists a duplicate arm", locator=locator)
-        self.trials[trial_id] = TrialRecord(trial_id=trial_id, arms=cleaned, estimands={})
-        self.estimands[trial_id] = {}
+    def add(self, section: str, record: Mapping, locator: str) -> None:
+        if section == "contrasts":  # resolved in build(): the SE may need arm rows read later
+            self.contrast_records.append((record, locator))
+            return
+        add = {"trials": self._add_trial, "estimands": self._add_estimand, "arms": self._add_arm}
+        with _located(locator):
+            add[section](record)
 
-    def add_estimand(
-        self,
-        trial_id: str,
-        label: str,
-        population: str,
-        endpoint: EndpointSpec,
-        summary: SummaryMeasure,
-        handlings: tuple[IntercurrentEventHandling, ...],
-        locator: str,
-    ) -> None:
-        trial_id = normalize_id(trial_id)
-        if trial_id not in self.trials:
-            raise EvidenceFormatError(f"estimand references unknown trial {trial_id!r}", locator=locator)
-        key = (canonical(label), endpoint.key)
-        if key in self.estimands[trial_id]:
-            raise EvidenceFormatError(
-                f"duplicate estimand {label!r} for endpoint {endpoint.name!r} in trial {trial_id!r}",
-                locator=locator,
-            )
-        try:
-            estimand = Estimand(
-                label=normalize_id(label),
-                population=population.strip(),
-                treatments=frozenset(self.trials[trial_id].arms),
-                endpoint=endpoint,
-                summary_measure=summary,
-                ie_handlings=handlings,
-            )
-        except ValueError as exc:
-            raise EvidenceFormatError(str(exc), locator=locator) from None
-        self.estimands[trial_id][key] = estimand
-
-    def add_arm(self, arm: ArmSummary, locator: str) -> None:
-        trial = self.trials.get(arm.trial_id)
-        if trial is None:
-            raise EvidenceFormatError(f"arm references unknown trial {arm.trial_id!r}", locator=locator)
-        if canonical(arm.treatment) not in trial.arm_set():
-            raise EvidenceFormatError(
-                f"arm treatment {arm.treatment!r} is not in trial {arm.trial_id!r}", locator=locator
-            )
-        dup_key = (arm.trial_id, canonical(arm.estimand_label), arm.endpoint, canonical(arm.treatment))
-        for existing in self.arm_rows:
-            if (
-                existing.trial_id,
-                canonical(existing.estimand_label),
-                existing.endpoint,
-                canonical(existing.treatment),
-            ) == dup_key:
-                raise EvidenceFormatError(
-                    f"duplicate arm summary for {arm.treatment!r} in trial {arm.trial_id!r}",
-                    locator=locator,
-                )
-        self.arm_rows.append(arm)
-
-    def add_contrast(self, fields: dict, locator: str) -> None:
-        self.contrast_rows.append((fields, locator))
-
-    def _lookup_arm(self, trial_id: str, label: str, endpoint: str, treatment: str) -> Optional[ArmSummary]:
-        for arm in self.arm_rows:
-            if (
-                arm.trial_id == trial_id
-                and canonical(arm.estimand_label) == canonical(label)
-                and arm.endpoint == canonical(endpoint)
-                and canonical(arm.treatment) == canonical(treatment)
-            ):
-                return arm
-        return None
-
-    def _resolve_contrast(self, fields: dict, locator: str) -> ContrastEstimate:
-        trial_id = normalize_id(fields["trial_id"])
+    def _trial_of(self, record: Mapping, what: str) -> TrialRecord:
+        trial_id = normalize_id(_text(record, "trial_id"))
         trial = self.trials.get(trial_id)
         if trial is None:
-            raise EvidenceFormatError(f"contrast references unknown trial {trial_id!r}", locator=locator)
-        label = fields["estimand_label"]
-        endpoint_key = canonical(fields["endpoint_name"])
-        estimand = self.estimands[trial_id].get((canonical(label), endpoint_key))
-        if estimand is None:
-            raise EvidenceFormatError(
-                f"contrast references undeclared estimand {label!r} / {fields['endpoint_name']!r} "
-                f"in trial {trial_id!r}",
-                locator=locator,
-            )
-        for role in ("treatment", "comparator"):
-            if canonical(fields[role]) not in trial.arm_set():
-                raise EvidenceFormatError(
-                    f"{role} {fields[role]!r} is not an arm of trial {trial_id!r}", locator=locator
-                )
+            raise ValueError(f"{what} references unknown trial {trial_id!r}")
+        return trial
 
-        md = fields["md"]
-        se, lo, hi, level = fields.get("se"), fields.get("ci_lower"), fields.get("ci_upper"), fields.get("ci_level")
-        try:
-            if se is not None:
-                source, resolved = UncertaintySource.REPORTED_SE, se
-            elif lo is not None and hi is not None:
-                level = 0.95 if level is None else level
-                source, resolved = UncertaintySource.FROM_CI, se_from_ci(lo, hi, level)
-            else:
-                arm_t = self._lookup_arm(trial_id, label, endpoint_key, fields["treatment"])
-                arm_c = self._lookup_arm(trial_id, label, endpoint_key, fields["comparator"])
-                if arm_t is None or arm_c is None:
-                    raise EvidenceFormatError(
-                        "contrast carries no se and no confidence interval, and arm summaries "
-                        "for both treatments are unavailable",
-                        locator=locator,
-                    )
-                source, resolved = UncertaintySource.FROM_ARMS, math.hypot(arm_t.se, arm_c.se)
-            return ContrastEstimate(
-                trial_id=trial_id,
-                treatment=fields["treatment"],
-                comparator=fields["comparator"],
-                endpoint=endpoint_key,
-                estimand_label=label,
-                md=md,
-                se=resolved,
-                source=source,
-                ci_lower=lo,
-                ci_upper=hi,
-                ci_level=level if (lo is not None and hi is not None) else None,
+    def _add_trial(self, record: Mapping) -> None:
+        trial_id = normalize_id(_text(record, "trial_id"))
+        if not trial_id:
+            raise ValueError("trial_id is empty")
+        if trial_id in self.trials:
+            raise ValueError(f"duplicate trial {trial_id!r}")
+        arms = _field(record, "arms")
+        if not isinstance(arms, list) or not all(isinstance(a, str) for a in arms):
+            raise TypeError("field 'arms' must be a list of treatment names")
+        trial = TrialRecord(
+            trial_id=trial_id, arms=tuple(filter(None, map(normalize_id, arms))), estimands={}
+        )
+        if len(trial.arms) < 2:
+            raise ValueError(f"trial {trial_id!r} needs at least two arms")
+        if len(set(trial.arm_keys)) != len(trial.arms):
+            raise ValueError(f"trial {trial_id!r} lists a duplicate arm")
+        self.trials[trial_id] = trial
+
+    def _add_estimand(self, record: Mapping) -> None:
+        trial = self._trial_of(record, "estimand")
+        estimand = Estimand(
+            label=normalize_id(_text(record, "label")),
+            population=_text(record, "population").strip(),
+            treatments=frozenset(trial.arms),
+            endpoint=EndpointSpec(
+                name=normalize_id(_text(record, "endpoint_name")),
+                units=_text(record, "units").strip(),
+                timepoint_weeks=_integer(_field(record, "timepoint_weeks"), "timepoint_weeks"),
+            ),
+            summary_measure=SummaryMeasure.parse(_text(record, "summary_measure")),
+            ie_handlings=_handlings(record),
+        )
+        key = (estimand.label_key, estimand.endpoint.key)
+        if key in trial.estimands:
+            raise ValueError(
+                f"duplicate estimand {estimand.label!r} for endpoint {estimand.endpoint.name!r} "
+                f"in trial {trial.trial_id!r}"
             )
-        except EvidenceFormatError:
-            raise
-        except ValueError as exc:
-            raise EvidenceFormatError(str(exc), locator=locator) from None
+        trial.estimands[key] = estimand
+
+    def _add_arm(self, record: Mapping) -> None:
+        trial = self._trial_of(record, "arm")
+        arm = ArmSummary(
+            trial_id=trial.trial_id,
+            treatment=_text(record, "treatment"),
+            n_randomized=_integer(_field(record, "n"), "n"),
+            endpoint=_text(record, "endpoint_name"),
+            estimand_label=_text(record, "estimand_label"),
+            mean_change=_field(record, "mean_change"),
+            ci_lower=_field(record, "ci_lower"),
+            ci_upper=_field(record, "ci_upper"),
+            ci_level=_field(record, "ci_level", 0.95),
+        )
+        if arm.treatment_key not in trial.arm_keys:
+            raise ValueError(f"arm treatment {arm.treatment!r} is not in trial {trial.trial_id!r}")
+        if arm.key in self.arms:
+            raise ValueError(f"duplicate arm summary for {arm.treatment!r} in trial {trial.trial_id!r}")
+        self.arms[arm.key] = arm
+
+    def _contrast(self, record: Mapping) -> ContrastEstimate:
+        trial = self._trial_of(record, "contrast")
+        label = normalize_id(_text(record, "estimand_label"))
+        endpoint_name = _text(record, "endpoint_name")
+        endpoint_key, label_key = canonical(endpoint_name), canonical(label)
+        if (label_key, endpoint_key) not in trial.estimands:
+            raise ValueError(
+                f"contrast references undeclared estimand {label!r} / {endpoint_name!r} "
+                f"in trial {trial.trial_id!r}"
+            )
+        treatment, comparator = _text(record, "treatment"), _text(record, "comparator")
+        arm_keys = canonical(treatment), canonical(comparator)
+        for role, name, key in zip(("treatment", "comparator"), (treatment, comparator), arm_keys):
+            if key not in trial.arm_keys:
+                raise ValueError(f"{role} {name!r} is not an arm of trial {trial.trial_id!r}")
+
+        se, lo, hi, level = (_optional_number(record, f) for f in ("se", "ci_lower", "ci_upper", "ci_level"))
+        has_ci = lo is not None and hi is not None
+        if se is not None:
+            source = UncertaintySource.REPORTED_SE
+        elif has_ci:
+            level = 0.95 if level is None else level
+            source, se = UncertaintySource.FROM_CI, se_from_ci(lo, hi, level)
+        else:
+            arm_t, arm_c = (self.arms.get((trial.trial_id, label_key, endpoint_key, key)) for key in arm_keys)
+            if arm_t is None or arm_c is None:
+                raise ValueError(
+                    "contrast carries no se and no confidence interval, and arm summaries "
+                    "for both treatments are unavailable"
+                )
+            source, se = UncertaintySource.FROM_ARMS, math.hypot(arm_t.se, arm_c.se)
+        return ContrastEstimate(
+            trial_id=trial.trial_id,
+            treatment=treatment,
+            comparator=comparator,
+            endpoint=endpoint_key,
+            estimand_label=label,
+            md=_field(record, "md"),
+            se=se,
+            source=source,
+            ci_lower=lo,
+            ci_upper=hi,
+            ci_level=level if has_ci else None,
+        )
 
     def build(self) -> EvidenceBase:
-        contrasts: list[ContrastEstimate] = []
-        seen: set[tuple] = set()
-        for fields, locator in self.contrast_rows:
-            contrast = self._resolve_contrast(fields, locator)
-            if contrast.key in seen:
-                raise EvidenceFormatError(
-                    f"duplicate contrast {contrast.treatment!r} vs {contrast.comparator!r} "
-                    f"in trial {contrast.trial_id!r}",
-                    locator=locator,
-                )
-            seen.add(contrast.key)
-            contrasts.append(contrast)
-        trials = {
-            tid: replace(record, estimands=dict(self.estimands[tid]))
-            for tid, record in self.trials.items()
-        }
+        contrasts: dict[tuple, ContrastEstimate] = {}
+        for record, locator in self.contrast_records:
+            with _located(locator):
+                contrast = self._contrast(record)
+                if contrast.key in contrasts:
+                    raise ValueError(
+                        f"duplicate contrast {contrast.treatment!r} vs {contrast.comparator!r} "
+                        f"in trial {contrast.trial_id!r}"
+                    )
+                contrasts[contrast.key] = contrast
         return EvidenceBase(
-            trials=trials, contrasts=tuple(contrasts), arm_summaries=tuple(self.arm_rows)
+            trials=self.trials,
+            contrasts=tuple(contrasts.values()),
+            arm_summaries=tuple(self.arms.values()),
         )
 
 
-def _optional_float(text: str, field: str, locator: str) -> Optional[float]:
-    return None if text.strip() == "" else _parse_float(text, field, locator)
+def _handling_items(cell: str, locator: str) -> list[dict]:
+    items = []
+    for chunk in filter(str.strip, cell.split(";")):
+        event, colon, strategy = chunk.rpartition(":")
+        if not colon:
+            raise EvidenceFormatError(
+                f"intercurrent-event entry {chunk.strip()!r} is not of the form event:strategy",
+                locator=locator,
+            )
+        items.append({"event_name": event, "strategy": strategy})
+    return items
 
 
-def _parse_csv(stream: IO[str]) -> EvidenceBase:
-    builder = _Builder()
+def _csv_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
+    """Tokenize a section-tagged CSV into (section, record, locator) triples.
+
+    Each data row becomes the record a JSON array element supplies: empty
+    cells are absent fields, `arms` is split on ';', and `ie_handlings`
+    (`event:strategy;...`) becomes a list of {event_name, strategy} items.
+    """
     reader = csv.reader(stream)
     section: str | None = None
     header_seen = False
     for row in reader:
         locator = f"line {reader.line_num}"
-        if not row or all(not cell.strip() for cell in row):
+        if not any(cell.strip() for cell in row):
             continue
         first = row[0].strip()
         if first.startswith("#"):
             tag = first.lstrip("#").strip().lower()
-            if tag in _SECTION_HEADERS:
+            if tag in _SECTION_FIELDS:
                 section, header_seen = tag, False
             continue  # any other #-line is a comment
         if section is None:
             raise EvidenceFormatError(f"data before any section tag: {first!r}", locator=locator)
-        expected = _SECTION_HEADERS[section]
+        fields = _SECTION_FIELDS[section]
         if not header_seen:
             got = [cell.strip().lower() for cell in row]
-            if got != expected:
+            if got != fields:
                 raise EvidenceFormatError(
-                    f"section #{section} header must be {expected}, got {got}", locator=locator
+                    f"section #{section} header must be {fields}, got {got}", locator=locator
                 )
             header_seen = True
             continue
-        if len(row) > len(expected):
+        if len(row) > len(fields):
             raise EvidenceFormatError(
-                f"row has {len(row)} fields, section #{section} allows {len(expected)}",
+                f"row has {len(row)} fields, section #{section} allows {len(fields)}",
                 locator=locator,
             )
-        cells = dict(zip(expected, list(row) + [""] * (len(expected) - len(row))))
-        _dispatch_row(builder, section, cells, locator)
-    return builder.build()
+        record: dict = {name: cell for name, cell in zip(fields, row) if cell.strip()}
+        if "arms" in record:
+            record["arms"] = record["arms"].split(";")
+        if "ie_handlings" in record:
+            record["ie_handlings"] = _handling_items(record["ie_handlings"], locator)
+        yield section, record, locator
 
 
-def _dispatch_row(builder: _Builder, section: str, cells: dict[str, str], locator: str) -> None:
-    if section == "trials":
-        builder.add_trial(cells["trial_id"], cells["arms"].split(";"), locator)
-    elif section == "estimands":
-        try:
-            endpoint = EndpointSpec(
-                name=normalize_id(cells["endpoint_name"]),
-                units=cells["units"].strip(),
-                timepoint_weeks=_parse_int(cells["timepoint_weeks"], "timepoint_weeks", locator),
-            )
-            summary = SummaryMeasure.parse(cells["summary_measure"])
-        except EvidenceFormatError:
-            raise
-        except ValueError as exc:
-            raise EvidenceFormatError(str(exc), locator=locator) from None
-        builder.add_estimand(
-            cells["trial_id"],
-            cells["label"],
-            cells["population"],
-            endpoint,
-            summary,
-            _parse_handlings(cells["ie_handlings"], locator),
-            locator,
-        )
-    elif section == "contrasts":
-        fields = {
-            "trial_id": cells["trial_id"],
-            "estimand_label": normalize_id(cells["estimand_label"]),
-            "endpoint_name": cells["endpoint_name"],
-            "treatment": normalize_id(cells["treatment"]),
-            "comparator": normalize_id(cells["comparator"]),
-            "md": _parse_float(cells["md"], "md", locator),
-            "se": _optional_float(cells["se"], "se", locator),
-            "ci_lower": _optional_float(cells["ci_lower"], "ci_lower", locator),
-            "ci_upper": _optional_float(cells["ci_upper"], "ci_upper", locator),
-            "ci_level": _optional_float(cells["ci_level"], "ci_level", locator),
-        }
-        builder.add_contrast(fields, locator)
-    elif section == "arms":
-        try:
-            arm = ArmSummary(
-                trial_id=cells["trial_id"],
-                treatment=cells["treatment"],
-                n_randomized=_parse_int(cells["n"], "n", locator),
-                endpoint=cells["endpoint_name"],
-                estimand_label=cells["estimand_label"],
-                mean_change=_parse_float(cells["mean_change"], "mean_change", locator),
-                ci_lower=_parse_float(cells["ci_lower"], "ci_lower", locator),
-                ci_upper=_parse_float(cells["ci_upper"], "ci_upper", locator),
-                ci_level=_optional_float(cells["ci_level"], "ci_level", locator) or 0.95,
-            )
-        except EvidenceFormatError:
-            raise
-        except ValueError as exc:
-            raise EvidenceFormatError(str(exc), locator=locator) from None
-        builder.add_arm(arm, locator)
-
-
-def _get(record: Mapping, field: str, locator: str):
-    if field not in record:
-        raise EvidenceFormatError(f"missing field {field!r}", locator=locator)
-    return record[field]
-
-
-def _parse_json(stream: IO[str]) -> EvidenceBase:
+def _json_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
+    """Tokenize a JSON document into (section, record, locator) triples, one per array element."""
     try:
         doc = json.load(stream)
     except json.JSONDecodeError as exc:
         raise EvidenceFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise EvidenceFormatError("top level must be an object")
+    for section in _SECTION_FIELDS:
+        records = doc.get(section, [])
+        if not isinstance(records, list):
+            raise EvidenceFormatError(f"section {section!r} must be an array")
+        for i, record in enumerate(records):
+            locator = f"{section}[{i}]"
+            if not isinstance(record, dict):
+                raise EvidenceFormatError("record must be an object", locator=locator)
+            yield section, record, locator
+
+
+def _parse(stream: IO[str], format: str) -> EvidenceBase:
     builder = _Builder()
-    for i, rec in enumerate(doc.get("trials", [])):
-        loc = f"trials[{i}]"
-        builder.add_trial(_get(rec, "trial_id", loc), list(_get(rec, "arms", loc)), loc)
-    for i, rec in enumerate(doc.get("estimands", [])):
-        loc = f"estimands[{i}]"
-        try:
-            endpoint = EndpointSpec(
-                name=normalize_id(_get(rec, "endpoint_name", loc)),
-                units=str(_get(rec, "units", loc)).strip(),
-                timepoint_weeks=int(_get(rec, "timepoint_weeks", loc)),
-                direction=Direction(rec.get("direction", Direction.LOWER_IS_BETTER.value)),
-            )
-            summary = SummaryMeasure.parse(_get(rec, "summary_measure", loc))
-            handlings = tuple(
-                IntercurrentEventHandling(
-                    _get(h, "event_name", loc), IntercurrentEventStrategy.parse(_get(h, "strategy", loc))
-                )
-                for h in _get(rec, "ie_handlings", loc)
-            )
-        except EvidenceFormatError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise EvidenceFormatError(str(exc), locator=loc) from None
-        builder.add_estimand(
-            _get(rec, "trial_id", loc),
-            _get(rec, "label", loc),
-            str(_get(rec, "population", loc)),
-            endpoint,
-            summary,
-            handlings,
-            loc,
-        )
-    for i, rec in enumerate(doc.get("arms", [])):
-        loc = f"arms[{i}]"
-        try:
-            arm = ArmSummary(
-                trial_id=_get(rec, "trial_id", loc),
-                treatment=_get(rec, "treatment", loc),
-                n_randomized=int(_get(rec, "n", loc)),
-                endpoint=_get(rec, "endpoint_name", loc),
-                estimand_label=_get(rec, "estimand_label", loc),
-                mean_change=float(_get(rec, "mean_change", loc)),
-                ci_lower=float(_get(rec, "ci_lower", loc)),
-                ci_upper=float(_get(rec, "ci_upper", loc)),
-                ci_level=float(rec.get("ci_level", 0.95)),
-            )
-        except EvidenceFormatError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise EvidenceFormatError(str(exc), locator=loc) from None
-        builder.add_arm(arm, loc)
-    for i, rec in enumerate(doc.get("contrasts", [])):
-        loc = f"contrasts[{i}]"
-        fields = {
-            "trial_id": _get(rec, "trial_id", loc),
-            "estimand_label": normalize_id(_get(rec, "estimand_label", loc)),
-            "endpoint_name": _get(rec, "endpoint_name", loc),
-            "treatment": normalize_id(_get(rec, "treatment", loc)),
-            "comparator": normalize_id(_get(rec, "comparator", loc)),
-            "md": float(_get(rec, "md", loc)),
-            "se": None if rec.get("se") is None else float(rec["se"]),
-            "ci_lower": None if rec.get("ci_lower") is None else float(rec["ci_lower"]),
-            "ci_upper": None if rec.get("ci_upper") is None else float(rec["ci_upper"]),
-            "ci_level": None if rec.get("ci_level") is None else float(rec["ci_level"]),
-        }
-        builder.add_contrast(fields, loc)
+    for section, record, locator in (_json_records if format == "json" else _csv_records)(stream):
+        builder.add(section, record, locator)
     return builder.build()
 
 
@@ -679,10 +606,10 @@ def parse_evidence(source: Source, format: str | None = None) -> EvidenceBase:
         path = Path(source)
         fmt = format or ("json" if path.suffix.lower() == ".json" else "csv")
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            return _parse_json(handle) if fmt == "json" else _parse_csv(handle)
+            return _parse(handle, fmt)
     if format is None:
         raise ValueError("format must be given when parsing from a stream")
-    return _parse_json(source) if format == "json" else _parse_csv(source)
+    return _parse(source, format)
 
 
 def parse_evidence_text(text: str, format: str = "csv") -> EvidenceBase:
@@ -692,74 +619,30 @@ def parse_evidence_text(text: str, format: str = "csv") -> EvidenceBase:
 # --- serialization ----------------------------------------------------------
 
 
-def _handlings_text(estimand: Estimand) -> str:
-    return ";".join(f"{h.event_name}:{h.strategy.value}" for h in estimand.ie_handlings)
-
-
-def _num(value) -> str:
-    return "" if value is None else repr(value)
+def _cell(value) -> str:
+    """One CSV cell of a record: the inverse of the tokenizer's splitting."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ";".join(_cell(item) for item in value)
+    if isinstance(value, dict):
+        return f"{value['event_name']}:{value['strategy']}"
+    return repr(value)
 
 
 def serialize_evidence(base: EvidenceBase, format: str = "csv") -> str:
     """Render an evidence base back into its file format (round-trip safe)."""
+    doc = evidence_to_dict(base)
     if format == "json":
-        return json.dumps(evidence_to_dict(base), indent=2) + "\n"
+        return json.dumps(doc, indent=2) + "\n"
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["#trials"])
-    writer.writerow(_SECTION_HEADERS["trials"])
-    for trial in base.trials.values():
-        writer.writerow([trial.trial_id, ";".join(trial.arms)])
-    writer.writerow(["#estimands"])
-    writer.writerow(_SECTION_HEADERS["estimands"])
-    for trial in base.trials.values():
-        for est in trial.estimands.values():
-            writer.writerow(
-                [
-                    trial.trial_id,
-                    est.label,
-                    est.population,
-                    est.endpoint.name,
-                    est.endpoint.units,
-                    est.endpoint.timepoint_weeks,
-                    est.summary_measure.value,
-                    _handlings_text(est),
-                ]
-            )
-    writer.writerow(["#contrasts"])
-    writer.writerow(_SECTION_HEADERS["contrasts"])
-    for c in base.contrasts:
-        se_text = _num(c.se) if c.source is UncertaintySource.REPORTED_SE else ""
-        writer.writerow(
-            [
-                c.trial_id,
-                c.estimand_label,
-                c.endpoint,
-                c.treatment,
-                c.comparator,
-                _num(c.md),
-                se_text,
-                _num(c.ci_lower),
-                _num(c.ci_upper),
-                _num(c.ci_level),
-            ]
-        )
-    writer.writerow(["#arms"])
-    writer.writerow(_SECTION_HEADERS["arms"])
-    for a in base.arm_summaries:
-        writer.writerow(
-            [
-                a.trial_id,
-                a.estimand_label,
-                a.endpoint,
-                a.treatment,
-                a.n_randomized,
-                _num(a.mean_change),
-                _num(a.ci_lower),
-                _num(a.ci_upper),
-                _num(a.ci_level),
-            ]
-        )
+    for section, fields in _SECTION_FIELDS.items():
+        writer.writerow([f"#{section}"])
+        writer.writerow(fields)
+        writer.writerows([_cell(record[name]) for name in fields] for record in doc[section])
     return out.getvalue()
 
 
@@ -776,7 +659,6 @@ def evidence_to_dict(base: EvidenceBase) -> dict:
                     "endpoint_name": est.endpoint.name,
                     "units": est.endpoint.units,
                     "timepoint_weeks": est.endpoint.timepoint_weeks,
-                    "direction": est.endpoint.direction.value,
                     "summary_measure": est.summary_measure.value,
                     "ie_handlings": [
                         {"event_name": h.event_name, "strategy": h.strategy.value}
@@ -822,7 +704,7 @@ def evidence_to_dict(base: EvidenceBase) -> dict:
 def _multi_arm_groups(base: EvidenceBase) -> dict[tuple[str, str, str], list[ContrastEstimate]]:
     groups: dict[tuple[str, str, str], list[ContrastEstimate]] = {}
     for c in base.contrasts:
-        groups.setdefault((c.trial_id, canonical(c.estimand_label), c.endpoint), []).append(c)
+        groups.setdefault((c.trial_id, c.label_key, c.endpoint), []).append(c)
     return {k: v for k, v in groups.items() if len(v) >= 2}
 
 
@@ -836,8 +718,11 @@ def validate_evidence(base: EvidenceBase) -> list[Issue]:
         if trial is None:
             issues.append(Issue("error", f"contrast references unknown trial {c.trial_id!r}"))
             continue
-        for role, treatment in (("treatment", c.treatment), ("comparator", c.comparator)):
-            if canonical(treatment) not in trial.arm_set():
+        for role, treatment, key in (
+            ("treatment", c.treatment, c.treatment_key),
+            ("comparator", c.comparator, c.comparator_key),
+        ):
+            if key not in trial.arm_keys:
                 issues.append(
                     Issue("error", f"contrast {role} {treatment!r} is not an arm of {c.trial_id!r}")
                 )
@@ -859,13 +744,13 @@ def validate_evidence(base: EvidenceBase) -> list[Issue]:
         trial = base.trials.get(arm.trial_id)
         if trial is None:
             issues.append(Issue("error", f"arm summary references unknown trial {arm.trial_id!r}"))
-        elif canonical(arm.treatment) not in trial.arm_set():
+        elif arm.treatment_key not in trial.arm_keys:
             issues.append(
                 Issue("error", f"arm treatment {arm.treatment!r} is not an arm of {arm.trial_id!r}")
             )
 
     for (trial_id, label, endpoint), group in _multi_arm_groups(base).items():
-        arms_involved = {canonical(c.treatment) for c in group} | {canonical(c.comparator) for c in group}
+        arms_involved = {c.treatment_key for c in group} | {c.comparator_key for c in group}
         missing = sorted(
             a for a in arms_involved if base.arm_summary(trial_id, label, endpoint, a) is None
         )

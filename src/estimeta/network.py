@@ -3,7 +3,8 @@
 Treatments are nodes; every contrast contributes one edge (parallel edges
 are kept, since each carries independent evidence).  Connectivity is
 decided twice -- by breadth-first traversal and by the rank of the
-inverse-variance-weighted Laplacian -- and the two answers must agree.
+inverse-variance-weighted Laplacian, taken as the rank of its square root,
+the sqrt-weight-scaled incidence matrix -- and the two answers must agree.
 """
 
 from __future__ import annotations
@@ -11,15 +12,13 @@ from __future__ import annotations
 import csv
 import io
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .estimands import canonical
 from .ingest import ContrastEstimate
-
-_RANK_EPS = 1e-12
 
 
 class NetworkError(ValueError):
@@ -35,7 +34,6 @@ class Edge:
     trial_id: str
     treatment: str
     comparator: str
-    contrast_index: int
     weight: float  # 1 / se^2
 
 
@@ -45,19 +43,25 @@ class EvidenceNetwork:
     edges: tuple[Edge, ...]
     trial_designs: Mapping[str, frozenset[str]]
     contrasts: tuple[ContrastEstimate, ...] = ()
+    # canonical node -> index, and the (treatment, comparator) node indices of each edge
+    index: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    ends: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", {canonical(node): i for i, node in enumerate(self.nodes)})
+        ends = tuple((self.node_index(e.treatment), self.node_index(e.comparator)) for e in self.edges)
+        object.__setattr__(self, "ends", ends)
 
     def node_index(self, treatment: str) -> int:
-        key = canonical(treatment)
-        for i, node in enumerate(self.nodes):
-            if canonical(node) == key:
-                return i
-        raise NetworkError(f"unknown treatment {treatment!r}")
+        i = self.index.get(canonical(treatment))
+        if i is None:
+            raise NetworkError(f"unknown treatment {treatment!r}")
+        return i
 
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         """node index -> [(neighbour index, edge index)] in deterministic order."""
         adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(self.nodes))}
-        for e_idx, edge in enumerate(self.edges):
-            u, v = self.node_index(edge.treatment), self.node_index(edge.comparator)
+        for e_idx, (u, v) in enumerate(self.ends):
             adj[u].append((v, e_idx))
             adj[v].append((u, e_idx))
         for entries in adj.values():
@@ -75,23 +79,17 @@ def build_network(contrasts: Sequence[ContrastEstimate]) -> EvidenceNetwork:
 
     ordered = sorted(
         range(len(contrasts)),
-        key=lambda i: (contrasts[i].trial_id, canonical(contrasts[i].treatment), canonical(contrasts[i].comparator)),
+        key=lambda i: (contrasts[i].trial_id, contrasts[i].treatment_key, contrasts[i].comparator_key),
     )
     nodes: dict[str, str] = {}  # canonical -> display, insertion ordered
     edges: list[Edge] = []
     designs: dict[str, set[str]] = {}
     for i in ordered:
         c = contrasts[i]
-        for t in (c.treatment, c.comparator):
-            nodes.setdefault(canonical(t), t)
+        nodes.setdefault(c.treatment_key, c.treatment)
+        nodes.setdefault(c.comparator_key, c.comparator)
         edges.append(
-            Edge(
-                trial_id=c.trial_id,
-                treatment=c.treatment,
-                comparator=c.comparator,
-                contrast_index=i,
-                weight=1.0 / c.se**2,
-            )
+            Edge(trial_id=c.trial_id, treatment=c.treatment, comparator=c.comparator, weight=1.0 / c.se**2)
         )
         designs.setdefault(c.trial_id, set()).update({c.treatment, c.comparator})
     return EvidenceNetwork(
@@ -106,8 +104,7 @@ def laplacian(net: EvidenceNetwork) -> np.ndarray:
     """Weighted graph Laplacian, edge weights 1/se^2."""
     n = len(net.nodes)
     lap = np.zeros((n, n))
-    for edge in net.edges:
-        u, v = net.node_index(edge.treatment), net.node_index(edge.comparator)
+    for (u, v), edge in zip(net.ends, net.edges):
         lap[u, u] += edge.weight
         lap[v, v] += edge.weight
         lap[u, v] -= edge.weight
@@ -116,13 +113,20 @@ def laplacian(net: EvidenceNetwork) -> np.ndarray:
 
 
 def laplacian_connected(net: EvidenceNetwork) -> bool:
+    """Laplacian rank n - 1, read off the sqrt-weight-scaled incidence matrix B.
+
+    L = B'B, so B's singular values are the square roots of L's eigenvalues:
+    their spread is the square root of L's, which keeps a connected graph
+    with widely spread weights clear of the rank tolerance.
+    """
     n = len(net.nodes)
     if n <= 1:
         return True
-    eigenvalues = np.linalg.eigvalsh(laplacian(net))
-    threshold = max(abs(eigenvalues[0]), abs(eigenvalues[-1])) * n * _RANK_EPS
-    rank = int(np.sum(eigenvalues > threshold))
-    return rank == n - 1
+    incidence = np.zeros((len(net.edges), n))
+    for row, ((u, v), edge) in enumerate(zip(net.ends, net.edges)):
+        root = np.sqrt(edge.weight)
+        incidence[row, u], incidence[row, v] = root, -root
+    return int(np.linalg.matrix_rank(incidence)) == n - 1
 
 
 def connected_components(net: EvidenceNetwork) -> tuple[tuple[str, ...], ...]:

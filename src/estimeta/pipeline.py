@@ -134,14 +134,14 @@ def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> 
                 warnings.setdefault((code, f"{contrast.trial_id}: {check.detail}"))
 
     used_trials = {c.trial_id for c in used}
-    used_groups = {(c.trial_id, canonical(c.estimand_label), c.endpoint) for c in used}
+    used_groups = {(c.trial_id, c.label_key, c.endpoint) for c in used}
     slice_base = EvidenceBase(
         trials={tid: rec for tid, rec in base.trials.items() if tid in used_trials},
         contrasts=tuple(used),
         arm_summaries=tuple(
             a
             for a in base.arm_summaries
-            if (a.trial_id, canonical(a.estimand_label), a.endpoint) in used_groups
+            if (a.trial_id, a.label_key, a.endpoint) in used_groups
         ),
     )
     return Restriction(

@@ -259,3 +259,45 @@ class TestJsonInput:
         rows = {(r["treatment"], r["comparator"]): r for r in payload["comparisons"]}
         key = ("semaglutide 2.0 mg QW", "dulaglutide 3.0 mg QW")
         assert rows[key]["md"] == pytest.approx(-0.47, abs=0.03)
+
+
+class TestCiLevel:
+    """An explicit --ci-level is used as given, so an invalid one is a usage error."""
+
+    @pytest.mark.parametrize("level", ["0", "1", "1.5"])
+    def test_analyze_rejects_invalid_level(self, level, capsys):
+        code = main(["analyze", "--input", CASE, "--estimand", "hypothetical",
+                     "--endpoint", "hba1c", "--ci-level", level])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "confidence level" in captured.err
+
+    @pytest.mark.parametrize("level", ["0", "1"])
+    def test_compare_rejects_invalid_level(self, level, capsys):
+        code = main(["compare", "--input", CASE, "--estimands", "hypothetical", "treatment_policy",
+                     "--endpoint", "hba1c", "--ci-level", level])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "confidence level" in captured.err
+
+    def test_valid_level_is_used(self, capsys):
+        code = main(["analyze", "--input", CASE, "--estimand", "hypothetical",
+                     "--endpoint", "hba1c", "--ci-level", "0.9"])
+        assert code == 0
+        assert "90% CI" in capsys.readouterr().out
+
+
+class TestJsonDataErrors:
+    """Faults in JSON evidence are data errors (exit 2) naming the record, as in CSV."""
+
+    @pytest.mark.parametrize("md", ["abc", None])
+    def test_bad_contrast_md(self, md, case_base, tmp_path, capsys):
+        doc = json.loads(serialize_evidence(case_base, format="json"))
+        doc["contrasts"][3]["md"] = md
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "contrasts[3]" in err and "'md'" in err

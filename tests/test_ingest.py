@@ -5,14 +5,27 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HBA1C, WEIGHT, quantile_bisect
+from estimeta.estimands import (
+    EndpointSpec,
+    Estimand,
+    IntercurrentEventHandling,
+    IntercurrentEventStrategy,
+    SummaryMeasure,
+    canonical,
+    normalize_id,
+)
 from estimeta.ingest import (
     ArmSummary,
+    ContrastEstimate,
+    EvidenceBase,
     EvidenceFormatError,
+    TrialRecord,
     UncertaintySource,
     contrast_from_arms,
     evidence_to_dict,
@@ -21,6 +34,7 @@ from estimeta.ingest import (
     serialize_evidence,
     validate_evidence,
 )
+from estimeta.network import build_network, export_edge_list
 from estimeta.normal import normal_quantile
 
 MINIMAL = """\
@@ -276,3 +290,257 @@ T1,primary,outcome,C,A,0.5,0.5,,,
         assert any(
             "no treatment_policy estimand" in i.message and "AWARD-11" in i.message for i in issues
         )
+
+
+# --- one ingestion path -------------------------------------------------------
+
+PARITY_CSV = """\
+#trials
+trial_id,arms
+T1,A;B;C
+#estimands
+trial_id,label,population,endpoint_name,units,timepoint_weeks,summary_measure,ie_handlings
+T1,primary,adults,outcome,u,12,mean_difference,dropout:hypothetical;rescue:treatment_policy
+#contrasts
+trial_id,estimand_label,endpoint_name,treatment,comparator,md,se,ci_lower,ci_upper,ci_level
+T1,primary,outcome,B,A,1.0,0.5,,,
+T1,primary,outcome,C,A,0.5,,0.1,0.9,0.9
+#arms
+trial_id,estimand_label,endpoint_name,treatment,n,mean_change,ci_lower,ci_upper,ci_level
+T1,primary,outcome,A,100,-1.0,-1.4,-0.6,
+T1,primary,outcome,B,101,0.0,-0.4,0.4,0.95
+T1,primary,outcome,C,102,-0.5,-0.9,-0.1,0.9
+"""
+
+PARITY_JSON = {
+    "trials": [{"trial_id": "T1", "arms": ["A", "B", "C"]}],
+    "estimands": [
+        {
+            "trial_id": "T1", "label": "primary", "population": "adults",
+            "endpoint_name": "outcome", "units": "u", "timepoint_weeks": 12,
+            "summary_measure": "mean_difference",
+            "ie_handlings": [
+                {"event_name": "dropout", "strategy": "hypothetical"},
+                {"event_name": "rescue", "strategy": "treatment_policy"},
+            ],
+        }
+    ],
+    "contrasts": [
+        {"trial_id": "T1", "estimand_label": "primary", "endpoint_name": "outcome",
+         "treatment": "B", "comparator": "A", "md": 1.0, "se": 0.5},
+        {"trial_id": "T1", "estimand_label": "primary", "endpoint_name": "outcome",
+         "treatment": "C", "comparator": "A", "md": 0.5, "se": None,
+         "ci_lower": 0.1, "ci_upper": 0.9, "ci_level": 0.9},
+    ],
+    "arms": [
+        {"trial_id": "T1", "estimand_label": "primary", "endpoint_name": "outcome",
+         "treatment": "A", "n": 100, "mean_change": -1.0, "ci_lower": -1.4, "ci_upper": -0.6},
+        {"trial_id": "T1", "estimand_label": "primary", "endpoint_name": "outcome",
+         "treatment": "B", "n": 101, "mean_change": 0.0, "ci_lower": -0.4, "ci_upper": 0.4,
+         "ci_level": 0.95},
+        {"trial_id": "T1", "estimand_label": "primary", "endpoint_name": "outcome",
+         "treatment": "C", "n": 102, "mean_change": -0.5, "ci_lower": -0.9, "ci_upper": -0.1,
+         "ci_level": 0.9},
+    ],
+}
+
+
+def parity_doc() -> dict:
+    return json.loads(json.dumps(PARITY_JSON))
+
+
+def parse_json_doc(doc: dict):
+    return parse_evidence_text(json.dumps(doc), format="json")
+
+
+class TestFormatParity:
+    """CSV rows and JSON objects are the same records and fail the same way."""
+
+    def test_csv_and_json_parse_equal(self):
+        from_csv, from_json = parse_evidence_text(PARITY_CSV), parse_json_doc(parity_doc())
+        assert from_csv == from_json
+        assert [c.source for c in from_csv.contrasts] == [
+            UncertaintySource.REPORTED_SE, UncertaintySource.FROM_CI,
+        ]
+        assert from_csv.arm_summaries[0].ci_level == 0.95  # absent level defaults
+
+    def test_case_study_csv_and_json_parse_equal(self, case_base):
+        assert parse_evidence_text(serialize_evidence(case_base, "json"), "json") == case_base
+
+    @pytest.mark.parametrize("md", ["abc", None, True])
+    def test_json_bad_md_names_record(self, md):
+        doc = parity_doc()
+        doc["contrasts"][1]["md"] = md
+        with pytest.raises(EvidenceFormatError, match=r"contrasts\[1\].*'md'") as exc:
+            parse_json_doc(doc)
+        assert exc.value.locator == "contrasts[1]"
+
+    @pytest.mark.parametrize("md", ["abc", ""])
+    def test_csv_bad_md_names_line(self, md):
+        text = PARITY_CSV.replace("T1,primary,outcome,B,A,1.0,", f"T1,primary,outcome,B,A,{md},")
+        with pytest.raises(EvidenceFormatError, match=r"line 9.*'md'"):
+            parse_evidence_text(text)
+
+    def test_json_rejects_fractional_timepoint(self):
+        doc = parity_doc()
+        doc["estimands"][0]["timepoint_weeks"] = 40.9
+        with pytest.raises(EvidenceFormatError, match=r"estimands\[0\].*not an integer"):
+            parse_json_doc(doc)
+
+    def test_csv_rejects_fractional_timepoint(self):
+        text = PARITY_CSV.replace(",u,12,", ",u,40.9,")
+        with pytest.raises(EvidenceFormatError, match=r"line 6.*not an integer"):
+            parse_evidence_text(text)
+
+    def test_integral_timepoint_accepted_in_both(self):
+        doc = parity_doc()
+        doc["estimands"][0]["timepoint_weeks"] = 12.0
+        assert parse_json_doc(doc) == parse_evidence_text(PARITY_CSV.replace(",u,12,", ",u,12.0,"))
+
+    def test_csv_rejects_zero_arm_ci_level(self):
+        text = PARITY_CSV.replace("-0.4,0.4,0.95", "-0.4,0.4,0")
+        with pytest.raises(EvidenceFormatError, match=r"line 14.*ci_level"):
+            parse_evidence_text(text)
+
+    def test_json_rejects_zero_arm_ci_level(self):
+        doc = parity_doc()
+        doc["arms"][1]["ci_level"] = 0
+        with pytest.raises(EvidenceFormatError, match=r"arms\[1\].*ci_level"):
+            parse_json_doc(doc)
+
+    def test_missing_field_named_in_both(self):
+        doc = parity_doc()
+        del doc["arms"][0]["n"]
+        with pytest.raises(EvidenceFormatError, match=r"arms\[0\]: missing field 'n'"):
+            parse_json_doc(doc)
+        with pytest.raises(EvidenceFormatError, match=r"line 13: missing field 'n'"):
+            parse_evidence_text(PARITY_CSV.replace(",A,100,", ",A,,"))
+
+    def test_non_text_id_rejected(self):
+        doc = parity_doc()
+        doc["trials"][0]["trial_id"] = 7
+        with pytest.raises(EvidenceFormatError, match=r"trials\[0\].*must be text"):
+            parse_json_doc(doc)
+
+    def test_unknown_json_keys_ignored(self):
+        doc = parity_doc()
+        doc["estimands"][0]["direction"] = "higher_is_better"
+        assert parse_json_doc(doc) == parse_evidence_text(PARITY_CSV)
+
+
+class TestNumericCoercion:
+    def test_numpy_scalars_become_plain_numbers(self):
+        arm = ArmSummary(
+            trial_id="T1", treatment="A", n_randomized=np.int64(50), endpoint="outcome",
+            estimand_label="primary", mean_change=np.float64(-1.0), ci_lower=np.float32(-1.5),
+            ci_upper=np.float64(-0.5), ci_level=np.float64(0.95),
+        )
+        assert type(arm.n_randomized) is int
+        assert all(type(v) is float for v in (arm.mean_change, arm.ci_lower, arm.ci_upper, arm.ci_level))
+        c = ContrastEstimate(
+            trial_id="T1", treatment="A", comparator="B", endpoint="outcome", estimand_label="primary",
+            md=np.float64(1.0), se=np.float64(0.2), source=UncertaintySource.REPORTED_SE,
+        )
+        assert type(c.md) is float and type(c.se) is float and c.ci_lower is None
+
+    def test_edge_list_of_numpy_built_contrasts_parses(self):
+        c = ContrastEstimate(
+            trial_id="T", treatment="A", comparator="B", endpoint="outcome", estimand_label="primary",
+            md=np.float64(1.0), se=np.float64(0.2), source=UncertaintySource.REPORTED_SE,
+        )
+        (row,) = export_edge_list(build_network([c])).splitlines()
+        assert "np." not in row
+        assert float(row.split(",")[-1]) == pytest.approx(25.0)
+
+    @pytest.mark.parametrize("n", [40.9, np.float64(2.5), "3.5", float("nan")])
+    def test_integer_fields_reject_fractions(self, n):
+        with pytest.raises(ValueError, match="n_randomized"):
+            make_arm_n(n)
+
+    @pytest.mark.parametrize("n", [40.0, np.int32(40), "40"])
+    def test_integer_fields_accept_integral_values(self, n):
+        assert make_arm_n(n).n_randomized == 40
+
+
+def make_arm_n(n):
+    return ArmSummary(
+        trial_id="T1", treatment="A", n_randomized=n, endpoint="outcome", estimand_label="primary",
+        mean_change=0.0, ci_lower=-1.0, ci_upper=1.0,
+    )
+
+
+# --- serialize/parse round trip -------------------------------------------------
+
+# Letters in several scripts and cases, digits, punctuation and whitespace runs.
+# CSV reserves ';' (the list separator) anywhere and '#' at the start of a row.
+_ID_ALPHABET = "aAbBzZéÉßΩωЖж漢字 \t -_.,:'\"()#0123456789"
+_ids = st.text(_ID_ALPHABET, min_size=1, max_size=10).filter(
+    lambda s: normalize_id(s) and not normalize_id(s).startswith("#")
+)
+_numbers = st.sampled_from([float, np.float64, np.float32])
+
+
+@st.composite
+def evidence_bases(draw) -> EvidenceBase:
+    """Small bases of 1-3 trials built directly from entities, numbers possibly numpy."""
+
+    def num(lo, hi):
+        return draw(_numbers)(draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False)))
+
+    endpoint = normalize_id(draw(_ids))
+    units = draw(_ids).strip()
+    trial_ids = draw(st.lists(_ids, min_size=1, max_size=3, unique_by=normalize_id))
+    trials, contrasts, arm_rows = {}, [], []
+    for trial_id in map(normalize_id, trial_ids):
+        arms = tuple(normalize_id(a) for a in draw(st.lists(_ids, min_size=2, max_size=3, unique_by=canonical)))
+        label = normalize_id(draw(_ids))
+        events = draw(st.lists(_ids, max_size=2, unique_by=canonical))
+        strategies = draw(st.lists(st.sampled_from(IntercurrentEventStrategy), min_size=2, max_size=2))
+        estimand = Estimand(
+            label=label,
+            population=draw(_ids).strip(),
+            treatments=frozenset(arms),
+            endpoint=EndpointSpec(name=endpoint, units=units, timepoint_weeks=draw(st.integers(1, 200))),
+            summary_measure=SummaryMeasure.MEAN_DIFFERENCE,
+            ie_handlings=tuple(IntercurrentEventHandling(e, s) for e, s in zip(events, strategies)),
+        )
+        trials[trial_id] = TrialRecord(
+            trial_id=trial_id, arms=arms, estimands={(canonical(label), canonical(endpoint)): estimand}
+        )
+        summaries = {}
+        if draw(st.booleans()):
+            for arm in arms:
+                lower = num(-50, 50)
+                summaries[arm] = ArmSummary(
+                    trial_id=trial_id, treatment=arm, n_randomized=draw(_numbers)(draw(st.integers(1, 999))),
+                    endpoint=endpoint, estimand_label=label, mean_change=num(-50, 50),
+                    ci_lower=lower, ci_upper=float(lower) + num(0.01, 20), ci_level=num(0.5, 0.99),
+                )
+            arm_rows.extend(summaries.values())
+        sources = [UncertaintySource.REPORTED_SE, UncertaintySource.FROM_CI]
+        for treatment in arms[1:]:
+            source = draw(st.sampled_from(sources + [UncertaintySource.FROM_ARMS] * bool(summaries)))
+            fields = dict(
+                trial_id=trial_id, treatment=treatment, comparator=arms[0], endpoint=endpoint,
+                estimand_label=label, md=num(-50, 50), source=source,
+            )
+            if source is UncertaintySource.REPORTED_SE:
+                fields["se"] = num(0.01, 10)
+            elif source is UncertaintySource.FROM_CI:
+                lower, width, level = num(-50, 50), num(0.01, 20), num(0.5, 0.99)
+                upper = float(lower) + float(width)
+                fields.update(ci_lower=lower, ci_upper=upper, ci_level=level,
+                              se=se_from_ci(float(lower), upper, float(level)))
+            else:
+                fields["se"] = math.hypot(summaries[treatment].se, summaries[arms[0]].se)
+            contrasts.append(ContrastEstimate(**fields))
+    return EvidenceBase(trials=trials, contrasts=tuple(contrasts), arm_summaries=tuple(arm_rows))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(evidence_bases(), st.sampled_from(["csv", "json"]))
+    def test_serialize_then_parse_is_identity(self, base, fmt):
+        text = serialize_evidence(base, fmt)
+        assert "np." not in text
+        assert parse_evidence_text(text, fmt) == base

@@ -14,7 +14,7 @@ from conftest import (
     SEMA_2,
     connected_oracle,
 )
-from estimeta.ingest import ContrastEstimate, UncertaintySource
+from estimeta.ingest import ContrastEstimate, UncertaintySource, parse_evidence_text
 from estimeta.network import (
     EvidenceNetwork,
     NetworkError,
@@ -26,7 +26,7 @@ from estimeta.network import (
     laplacian,
     laplacian_connected,
 )
-from estimeta.pipeline import restrict_evidence, synthesize_meta
+from estimeta.pipeline import restrict_evidence, run_analysis, synthesize_meta
 from estimeta.estimands import IntercurrentEventStrategy
 
 
@@ -173,3 +173,43 @@ class TestExport:
         first = lines[0].split(",")
         assert first[0] == "AWARD-11"
         assert float(first[-1]) > 0
+
+
+def _wide_chain_csv() -> str:
+    """Ten treatments in a chain of two-arm trials whose SEs alternate 1e-3 and 1e2."""
+    lines = [
+        "#trials", "trial_id,arms",
+        *(f"W{i},P{i + 1};P{i}" for i in range(9)),
+        "#estimands",
+        "trial_id,label,population,endpoint_name,units,timepoint_weeks,summary_measure,ie_handlings",
+        *(f"W{i},primary,adults,outcome,u,12,mean_difference,dropout:hypothetical" for i in range(9)),
+        "#contrasts",
+        "trial_id,estimand_label,endpoint_name,treatment,comparator,md,se,ci_lower,ci_upper,ci_level",
+        *(f"W{i},primary,outcome,P{i + 1},P{i},{0.1 * (i + 1)!r},{1e-3 if i % 2 == 0 else 1e2!r},,,"
+          for i in range(9)),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class TestWideWeights:
+    """Connectivity must not depend on how far apart the edge weights are."""
+
+    def test_wide_weight_chain_is_connected(self):
+        net = build_network(parse_evidence_text(_wide_chain_csv()).contrasts)
+        weights = [e.weight for e in net.edges]
+        assert max(weights) / min(weights) == pytest.approx(1e10)
+        assert laplacian_connected(net)
+        assert is_connected(net)
+
+    def test_wide_weight_chain_is_solved(self):
+        base = parse_evidence_text(_wide_chain_csv())
+        meta = synthesize_meta(base, "outcome", IntercurrentEventStrategy.HYPOTHETICAL)
+        result = run_analysis(base, meta, "outcome", reference="P0")
+        # A chain is a tree: each pooled effect is the sum of the direct ones below it.
+        for k in range(1, 10):
+            expected = sum(0.1 * (i + 1) for i in range(k))
+            assert result.comparisons[f"P{k}", "P0"].md == pytest.approx(expected, rel=1e-9)
+
+    def test_tolerance_still_catches_degenerate_weights(self):
+        net = build_network([contrast("T1", "A", "B", se=1e-8), contrast("T2", "B", "C", se=1e8)])
+        assert not laplacian_connected(net)
