@@ -5,20 +5,24 @@ covariance, one block per trial.  Two-arm trials contribute a 1x1 block
 [se^2]; a k-arm trial contributes a block built from per-arm variances
 (diagonal v_t + v_c, off-diagonal the shared arms' variance), so that
 correlated treatment effects within multi-arm trials are accounted for.
-The solve whitens with a Cholesky factor and uses QR on the whitened
-design; no explicit inverse of the covariance is formed.
+The design X is the network's signed incidence matrix without the
+reference's column.  The solve whitens with a Cholesky factor and uses QR
+on the whitened design; no explicit inverse of the covariance is formed.
+Each solve computes its league table once, over whole arrays, from the
+estimates and their covariance alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import groupby, repeat
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .estimands import canonical
 from .ingest import ContrastEstimate, EvidenceBase
-from .network import EvidenceNetwork, is_connected
+from .network import EvidenceNetwork, incidence, is_connected
 from .normal import z_for_level
 
 CONDITION_ERROR = 1e12
@@ -44,32 +48,21 @@ class NumericalError(RuntimeError):
 def trial_covariance(
     contrasts: Sequence[ContrastEstimate],
     arm_variances: Mapping[str, float] | None = None,
-    explicit: np.ndarray | None = None,
 ) -> np.ndarray:
     """Within-trial covariance block for one trial's contrasts.
 
-    A single contrast yields [se^2].  With two or more contrasts an
-    explicit covariance (validated for symmetry and positive definiteness)
-    passes through; otherwise per-arm variances must be supplied, keyed by
-    canonical treatment id, and the block is assembled from them.
+    A single contrast yields [se^2].  With two or more contrasts, per-arm
+    variances must be supplied, keyed by canonical treatment id; the block
+    is assembled from them and must be positive definite.
     """
     if not contrasts:
         raise CovarianceError("trial has no contrasts")
     m = len(contrasts)
-    if explicit is not None:
-        block = np.asarray(explicit, dtype=float)
-        if block.shape != (m, m):
-            raise CovarianceError(f"explicit covariance has shape {block.shape}, expected {(m, m)}")
-        if not np.allclose(block, block.T, rtol=1e-10, atol=1e-12):
-            raise CovarianceError("explicit covariance is not symmetric")
-        _require_positive_definite(block, "explicit covariance")
-        return block
     if m == 1:
         return np.array([[contrasts[0].se ** 2]])
     if arm_variances is None:
         raise CovarianceError(
-            "shared-arm variance unidentifiable: multi-arm trial needs arm-level variances "
-            "or an explicit covariance"
+            "shared-arm variance unidentifiable: multi-arm trial needs arm-level variances"
         )
     signs = []
     for c in contrasts:
@@ -129,55 +122,41 @@ def assemble_gls(
     if not is_connected(net):
         raise DisconnectedNetworkError("evidence network is disconnected")
     ref_idx = net.node_index(reference)
-    reference = net.nodes[ref_idx]
-    parameters = tuple(node for i, node in enumerate(net.nodes) if i != ref_idx)
-    columns = {canonical(node): j for j, node in enumerate(parameters)}
-
     contrasts = net.contrasts
     if len(contrasts) != len(net.edges):
         raise EngineError("network does not carry its contrast slice")
-    m, p = len(contrasts), len(parameters)
-    y = np.array([c.md for c in contrasts])
-    design = np.zeros((m, p))
-    for i, c in enumerate(contrasts):
-        if c.treatment_key in columns:
-            design[i, columns[c.treatment_key]] = 1.0
-        if c.comparator_key in columns:
-            design[i, columns[c.comparator_key]] = -1.0
-
+    m = len(contrasts)
     sigma = np.zeros((m, m))
     row = 0
-    for trial_id, group in _group_by_trial(contrasts):
+    for block in trial_blocks(contrasts, base, independence_fallback=independence_fallback):
+        k = len(block)
+        sigma[row : row + k, row : row + k] = block
+        row += k
+    return GlsSystem(
+        y=np.array([c.md for c in contrasts]),
+        design=np.delete(incidence(net), ref_idx, axis=1),
+        sigma=sigma,
+        reference=net.nodes[ref_idx],
+        treatments=net.nodes,
+        parameters=net.nodes[:ref_idx] + net.nodes[ref_idx + 1 :],
+        contrasts=contrasts,
+    )
+
+
+def trial_blocks(
+    contrasts: Sequence[ContrastEstimate], base: EvidenceBase, *, independence_fallback: bool = False
+) -> list[np.ndarray]:
+    """Covariance blocks of the contrasts, grouped by trial in their order (see `assemble_gls`)."""
+    blocks = []
+    for trial_id, grouped in groupby(contrasts, key=lambda c: c.trial_id):
+        group = list(grouped)
         labels = {c.label_key for c in group}
         if len(labels) > 1:
             raise EngineError(
                 f"trial {trial_id!r} contributes contrasts under several estimands: {sorted(labels)}"
             )
-        block = _block_for_trial(group, base, independence_fallback)
-        k = len(group)
-        sigma[row : row + k, row : row + k] = block
-        row += k
-    return GlsSystem(
-        y=y,
-        design=design,
-        sigma=sigma,
-        reference=reference,
-        treatments=net.nodes,
-        parameters=parameters,
-        contrasts=contrasts,
-    )
-
-
-def _group_by_trial(
-    contrasts: Sequence[ContrastEstimate],
-) -> list[tuple[str, list[ContrastEstimate]]]:
-    groups: list[tuple[str, list[ContrastEstimate]]] = []
-    for c in contrasts:
-        if groups and groups[-1][0] == c.trial_id:
-            groups[-1][1].append(c)
-        else:
-            groups.append((c.trial_id, [c]))
-    return groups
+        blocks.append(_block_for_trial(group, base, independence_fallback))
+    return blocks
 
 
 def _block_for_trial(
@@ -226,17 +205,14 @@ class NmaResult:
     condition_number: float
     notes: tuple[str, ...] = ()
     provenance: Optional[Any] = None
-    # canonical treatment -> design column; the reference maps to None
-    columns: Mapping[str, Optional[int]] = field(init=False, repr=False)
+    # canonical treatment -> design column; the reference maps to the column
+    # after the last, where the padded estimates and covariance are zero
+    columns: Mapping[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        columns: dict[str, Optional[int]] = {canonical(self.reference): None}
+        columns = {canonical(self.reference): len(self.parameters)}
         columns.update((canonical(node), j) for j, node in enumerate(self.parameters))
         object.__setattr__(self, "columns", columns)
-
-    def basic_estimate(self, treatment: str) -> float:
-        """Effect of a treatment vs the reference (zero for the reference itself)."""
-        return _contrast_vector(self, treatment, self.reference) @ self.estimates
 
 
 def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
@@ -244,7 +220,8 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
 
     Whitens by the Cholesky factor of Sigma, then QR-factorizes the
     whitened design.  Conditioning of X' Sigma^-1 X is checked: above 1e8 a
-    note is recorded, above 1e12 the solve is refused.
+    note is recorded, above 1e12 the solve is refused.  The league table
+    is computed here, once.
     """
     try:
         chol = np.linalg.cholesky(system.sigma)
@@ -282,51 +259,53 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
         condition_number=condition,
         notes=notes,
     )
-    table = league_table(result, ci_level)
+    table = league_table(result)
     return replace(result, comparisons={(c.treatment, c.comparator): c for c in table})
 
 
-def _contrast_vector(result: NmaResult, a: str, b: str) -> np.ndarray:
-    vector = np.zeros(len(result.parameters))
-    for node, sign in ((a, 1.0), (b, -1.0)):
-        key = canonical(node)
-        if key not in result.columns:
-            raise EngineError(f"unknown treatment {node!r}")
-        if result.columns[key] is not None:
-            vector[result.columns[key]] += sign
-    return vector
+def _comparisons(
+    result: NmaResult, treatments: Sequence[str], comparators: Sequence[str], a, b, level: float
+) -> tuple[ComparisonResult, ...]:
+    """Pooled comparisons treatment minus comparator, at design columns a and b.
+
+    Over the estimates and covariance padded with the reference's zero row
+    and column, md = theta_a - theta_b and var = (C_aa - C_ab) - (C_ab - C_bb),
+    the grouping in which (e_a - e_b)' C (e_a - e_b) rounds.
+    """
+    theta = np.append(result.estimates, 0.0)
+    cov = np.pad(result.covariance, (0, 1))
+    md = theta[a] - theta[b]
+    se = np.sqrt(np.maximum((cov[a, a] - cov[a, b]) - (cov[a, b] - cov[b, b]), 0.0))
+    z = z_for_level(level)
+    bounds = (md - z * se).tolist(), (md + z * se).tolist()
+    return tuple(
+        map(ComparisonResult, treatments, comparators, md.tolist(), se.tolist(), *bounds, repeat(level))
+    )
 
 
 def comparison(result: NmaResult, a: str, b: str, level: float | None = None) -> ComparisonResult:
     """Pooled comparison a minus b with its normal-based confidence interval."""
+    columns = []
+    for node in (a, b):
+        if (column := result.columns.get(canonical(node))) is None:
+            raise EngineError(f"unknown treatment {node!r}")
+        columns.append([column])
     level = result.ci_level if level is None else level
-    vector = _contrast_vector(result, a, b)
-    md = float(vector @ result.estimates)
-    variance = float(vector @ result.covariance @ vector)
-    se = float(np.sqrt(max(variance, 0.0)))
-    z = z_for_level(level)
-    return ComparisonResult(
-        treatment=a,
-        comparator=b,
-        md=md,
-        se=se,
-        ci_lower=md - z * se,
-        ci_upper=md + z * se,
-        ci_level=level,
+    return _comparisons(result, (a,), (b,), *np.array(columns), level)[0]
+
+
+def league_table(result: NmaResult) -> tuple[ComparisonResult, ...]:
+    """Every ordered pair of distinct treatments, in deterministic node order,
+    from the estimates and their covariance alone."""
+    names = result.treatments
+    columns = np.array([result.columns[canonical(node)] for node in names], dtype=int)
+    a, b = np.nonzero(~np.eye(len(names), dtype=bool))  # nodes are distinct treatments
+    return _comparisons(
+        result, [names[i] for i in a], [names[j] for j in b], columns[a], columns[b], result.ci_level
     )
 
 
-def league_table(result: NmaResult, level: float | None = None) -> tuple[ComparisonResult, ...]:
-    """Every ordered pair of distinct treatments, in deterministic node order."""
-    rows = []
-    for i, a in enumerate(result.treatments):
-        for j, b in enumerate(result.treatments):
-            if i != j:  # nodes are distinct treatments
-                rows.append(comparison(result, a, b, level))
-    return tuple(rows)
-
-
-def comparison_rows(result: NmaResult, level: float | None = None) -> list[dict]:
+def comparison_rows(result: NmaResult) -> list[dict]:
     """Plot-ready rows: treatment, comparator, md, ci_lower, ci_upper, se."""
     return [
         {
@@ -337,7 +316,7 @@ def comparison_rows(result: NmaResult, level: float | None = None) -> list[dict]
             "ci_upper": c.ci_upper,
             "se": c.se,
         }
-        for c in league_table(result, level)
+        for c in result.comparisons.values()
     ]
 
 

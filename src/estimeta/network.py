@@ -1,8 +1,10 @@
 """Evidence-network graph for one (endpoint, estimand) slice.
 
 Treatments are nodes; every contrast contributes one edge (parallel edges
-are kept, since each carries independent evidence).  Connectivity is
-decided twice -- by breadth-first traversal and by the rank of the
+are kept, since each carries independent evidence).  One signed incidence
+matrix (edges x nodes) underlies the weighted Laplacian, the rank check and
+the engine's GLS design.  Connectivity is decided once per network, twice
+over -- by breadth-first traversal and by the rank of the
 inverse-variance-weighted Laplacian, taken as the rank of its square root,
 the sqrt-weight-scaled incidence matrix -- and the two answers must agree.
 """
@@ -13,6 +15,7 @@ import csv
 import io
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -68,6 +71,20 @@ class EvidenceNetwork:
             entries.sort()
         return adj
 
+    @cached_property
+    def connected(self) -> bool:
+        """Connectivity verdict, decided on first use and kept (see `is_connected`)."""
+        if not self.nodes:
+            raise NetworkError("network has no nodes")
+        by_traversal = len(connected_components(self)) == 1
+        by_rank = laplacian_connected(self)
+        if by_traversal != by_rank:
+            raise ConnectivityCheckError(
+                f"connectivity checks disagree (traversal={by_traversal}, laplacian={by_rank}); "
+                "edge weights span too many orders of magnitude"
+            )
+        return by_traversal
+
 
 def build_network(contrasts: Sequence[ContrastEstimate]) -> EvidenceNetwork:
     """Build the slice graph; deterministic regardless of input order."""
@@ -100,33 +117,33 @@ def build_network(contrasts: Sequence[ContrastEstimate]) -> EvidenceNetwork:
     )
 
 
+def incidence(net: EvidenceNetwork) -> np.ndarray:
+    """Signed edges x nodes incidence matrix: +1 at the treatment, -1 at the comparator."""
+    matrix = np.zeros((len(net.edges), len(net.nodes)))
+    for row, (u, v) in enumerate(net.ends):
+        matrix[row, u], matrix[row, v] = 1.0, -1.0
+    return matrix
+
+
 def laplacian(net: EvidenceNetwork) -> np.ndarray:
-    """Weighted graph Laplacian, edge weights 1/se^2."""
-    n = len(net.nodes)
-    lap = np.zeros((n, n))
-    for (u, v), edge in zip(net.ends, net.edges):
-        lap[u, u] += edge.weight
-        lap[v, v] += edge.weight
-        lap[u, v] -= edge.weight
-        lap[v, u] -= edge.weight
-    return lap
+    """Weighted graph Laplacian B'WB, edge weights 1/se^2."""
+    b = incidence(net)
+    weights = np.array([e.weight for e in net.edges])
+    return b.T @ (weights[:, None] * b)
 
 
 def laplacian_connected(net: EvidenceNetwork) -> bool:
-    """Laplacian rank n - 1, read off the sqrt-weight-scaled incidence matrix B.
+    """Laplacian rank n - 1, read off the sqrt-weight-scaled incidence matrix.
 
-    L = B'B, so B's singular values are the square roots of L's eigenvalues:
-    their spread is the square root of L's, which keeps a connected graph
-    with widely spread weights clear of the rank tolerance.
+    L = B'WB, so sqrt(W)B has the square roots of L's eigenvalues as its
+    singular values: their spread is the square root of L's, which keeps a
+    connected graph with widely spread weights clear of the rank tolerance.
     """
     n = len(net.nodes)
     if n <= 1:
         return True
-    incidence = np.zeros((len(net.edges), n))
-    for row, ((u, v), edge) in enumerate(zip(net.ends, net.edges)):
-        root = np.sqrt(edge.weight)
-        incidence[row, u], incidence[row, v] = root, -root
-    return int(np.linalg.matrix_rank(incidence)) == n - 1
+    roots = np.sqrt([e.weight for e in net.edges])
+    return int(np.linalg.matrix_rank(roots[:, None] * incidence(net))) == n - 1
 
 
 def connected_components(net: EvidenceNetwork) -> tuple[tuple[str, ...], ...]:
@@ -155,17 +172,9 @@ def is_connected(net: EvidenceNetwork) -> bool:
 
     Computed by traversal and cross-checked against the Laplacian rank
     criterion; a disagreement indicates a numerical problem and raises.
+    The verdict is decided once per network and kept.
     """
-    if not net.nodes:
-        raise NetworkError("network has no nodes")
-    by_traversal = len(connected_components(net)) == 1
-    by_rank = laplacian_connected(net)
-    if by_traversal != by_rank:
-        raise ConnectivityCheckError(
-            f"connectivity checks disagree (traversal={by_traversal}, laplacian={by_rank}); "
-            "edge weights span too many orders of magnitude"
-        )
-    return by_traversal
+    return net.connected
 
 
 def anchoring_path(net: EvidenceNetwork, a: str, b: str) -> Optional[tuple[Edge, ...]]:

@@ -13,6 +13,7 @@ import enum
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import permutations
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -21,8 +22,8 @@ from .engine import (
     CovarianceError,
     NmaResult,
     assemble_gls,
-    comparison,
     solve_fixed_effects,
+    trial_blocks,
 )
 from .estimands import (
     AlignmentReport,
@@ -31,6 +32,7 @@ from .estimands import (
     IntercurrentEventHandling,
     IntercurrentEventStrategy,
     MatchingMode,
+    MatchVerdict,
     MetaEstimand,
     SummaryMeasure,
     canonical,
@@ -108,6 +110,7 @@ def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> 
     used: list[ContrastEstimate] = []
     excluded: list[ExcludedContrast] = []
     warnings: dict[tuple[str, str], None] = {}
+    verdicts: dict[int, MatchVerdict] = {}  # id of a trial estimand -> its verdict
     for contrast in base.contrasts:
         if contrast.endpoint != key:
             excluded.append(
@@ -123,7 +126,9 @@ def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> 
                 )
             )
             continue
-        verdict = matches_meta(estimand, meta)
+        verdict = verdicts.get(id(estimand))
+        if verdict is None:
+            verdict = verdicts[id(estimand)] = matches_meta(estimand, meta)
         if not verdict.compatible:
             excluded.append(ExcludedContrast(contrast, verdict.blockers))
             continue
@@ -185,7 +190,7 @@ def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) ->
             )
         else:
             try:
-                assemble_gls(net, restriction.base, net.nodes[0])
+                trial_blocks(net.contrasts, restriction.base)
             except CovarianceError as exc:
                 reasons.append(Reason("covariance_unidentifiable", "error", str(exc)))
 
@@ -297,10 +302,9 @@ def compare_strategies(
     labels = list(results)
     if len(labels) < 2:
         raise ValueError("compare_strategies needs at least two results")
-    treatment_sets = [
-        frozenset(canonical(t) for t in res.treatments) for res in results.values()
-    ]
-    if len(set(treatment_sets)) != 1:
+    # each result's spelling of every treatment, by canonical key
+    spelled = {label: {canonical(t): t for t in res.treatments} for label, res in results.items()}
+    if len({frozenset(names) for names in spelled.values()}) != 1:
         raise ValueError("results cover different treatment sets")
 
     baseline, attenuated = labels[0], labels[1]
@@ -310,21 +314,23 @@ def compare_strategies(
             attenuated = policy[0]
             baseline = labels[0] if labels[1] == attenuated else labels[1]
 
-    first = results[labels[0]]
+    keys = {t: canonical(t) for t in results[labels[0]].treatments}
     rows = []
-    for a in first.treatments:
-        for b in first.treatments:
-            if canonical(a) == canonical(b):
-                continue
-            by_label = {label: comparison(results[label], a, b) for label in labels}
-            rows.append(
-                StrategyRow(
-                    treatment=a,
-                    comparator=b,
-                    by_label=by_label,
-                    attenuation=abs(by_label[attenuated].md) < abs(by_label[baseline].md),
-                )
+    for a, b in permutations(keys, 2):
+        by_label = {}
+        for label, res in results.items():
+            c = res.comparisons[spelled[label][keys[a]], spelled[label][keys[b]]]
+            if (c.treatment, c.comparator) != (a, b):  # the result spells them otherwise
+                c = replace(c, treatment=a, comparator=b)
+            by_label[label] = c
+        rows.append(
+            StrategyRow(
+                treatment=a,
+                comparator=b,
+                by_label=by_label,
+                attenuation=abs(by_label[attenuated].md) < abs(by_label[baseline].md),
             )
+        )
     return StrategyComparison(
         endpoint=canonical(endpoint),
         labels=tuple(labels),

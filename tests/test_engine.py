@@ -75,17 +75,14 @@ class TestTrialCovariance:
         with pytest.raises(CovarianceError, match="shared-arm variance unidentifiable"):
             trial_covariance(contrasts)
 
-    def test_explicit_covariance_passthrough(self):
-        contrasts = [contrast("T1", "B", "A", 1.0, 0.2), contrast("T1", "C", "A", 0.5, 0.2)]
-        explicit = np.array([[0.04, 0.01], [0.01, 0.05]])
-        assert np.array_equal(trial_covariance(contrasts, explicit=explicit), explicit)
-
-    def test_explicit_covariance_validated(self):
-        contrasts = [contrast("T1", "B", "A", 1.0, 0.2), contrast("T1", "C", "A", 0.5, 0.2)]
-        with pytest.raises(CovarianceError, match="not symmetric"):
-            trial_covariance(contrasts, explicit=np.array([[0.04, 0.02], [0.01, 0.05]]))
+    def test_all_pairwise_contrasts_give_singular_block(self):
+        contrasts = [
+            contrast("T1", "B", "A", 1.0, 0.2),
+            contrast("T1", "C", "A", 0.5, 0.2),
+            contrast("T1", "C", "B", -0.5, 0.2),
+        ]
         with pytest.raises(CovarianceError, match="not positive definite"):
-            trial_covariance(contrasts, explicit=np.array([[0.01, 0.02], [0.02, 0.01]]))
+            trial_covariance(contrasts, arm_variances={"a": 0.01, "b": 0.02, "c": 0.03})
 
 
 class TestAssemble:
@@ -297,6 +294,26 @@ class TestRandomizedProperties:
         assert comparison(result, "B", "C").md == pytest.approx(1.5, abs=1e-12)
         for a, b in (("B", "A"), ("C", "A"), ("B", "C")):
             assert comparison(result, a, b).se == pytest.approx(math.sqrt(2 * v), rel=1e-12)
+
+    def test_league_table_is_every_pairwise_comparison(self, corpus):
+        for base in corpus:
+            net = build_network(base.contrasts)
+            for ref in net.nodes:
+                result = solve_fixed_effects(assemble_gls(net, base, ref))
+                table = league_table(result)
+                pairs = [(a, b) for a in net.nodes for b in net.nodes if a != b]
+                assert [(c.treatment, c.comparator) for c in table] == pairs
+                assert list(result.comparisons.values()) == list(table)
+                columns = {node: j for j, node in enumerate(result.parameters)}
+                for c, (a, b) in zip(table, pairs):
+                    assert c == comparison(result, a, b)
+                    # the contrast-vector form the table replaced, to the last bit
+                    vector = np.zeros(len(result.parameters))
+                    for node, sign in ((a, 1.0), (b, -1.0)):
+                        if node in columns:
+                            vector[columns[node]] = sign
+                    assert c.md == float(vector @ result.estimates)
+                    assert c.se == math.sqrt(max(float(vector @ result.covariance @ vector), 0.0))
 
     def test_laplacian_pseudoinverse_cross_check(self):
         rng = np.random.default_rng(11)

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from conftest import DULA_30, DULA_45, HBA1C, SEMA_2, WEIGHT, synthetic_base
+from estimeta import network
 from estimeta.engine import comparison
 from estimeta.estimands import (
     EndpointSpec,
@@ -199,6 +200,18 @@ class TestRunAnalysis:
         assert len(result.provenance.excluded) == 12
         assert result.provenance.meta_label == "hypothetical"
 
+    def test_connectivity_decided_once_per_slice(self, case_base, hyp_meta, monkeypatch):
+        calls = []
+        original = network.laplacian_connected
+
+        def counted(net):
+            calls.append(net)
+            return original(net)
+
+        monkeypatch.setattr(network, "laplacian_connected", counted)
+        run_analysis(case_base, hyp_meta, HBA1C)
+        assert len(calls) == 1
+
     def test_reference_override(self, case_base, hyp_meta):
         result = run_analysis(case_base, hyp_meta, HBA1C, reference=SEMA_2)
         assert result.reference == SEMA_2
@@ -244,6 +257,35 @@ class TestCompareStrategies:
         assert table.attenuated_label == "treatment_policy"
         rows = {(r.treatment, r.comparator): r for r in table.rows}
         assert rows[(SEMA_2, DULA_30)].attenuation
+
+    def test_rows_match_across_spellings(self):
+        hyp_base = synthetic_base(
+            [
+                ("T1", ["Drug A", "Drug B"], [0.02, 0.03], [1.5]),
+                ("T2", ["Drug B", "Drug C"], [0.02, 0.04], [-0.5]),
+            ]
+        )
+        tp_base = synthetic_base(
+            [
+                ("T1", ["drug a", "DRUG   B"], [0.02, 0.03], [1.2]),
+                ("T2", ["DRUG   B", "Drug  c"], [0.02, 0.04], [-0.7]),
+            ]
+        )
+        results = {
+            label: run_analysis(base, synthesize_meta(base, "outcome", HYP), "outcome")
+            for label, base in (("hypothetical", hyp_base), ("treatment_policy", tp_base))
+        }
+        assert results["hypothetical"].treatments != results["treatment_policy"].treatments
+        table = compare_strategies(results, "outcome")
+        names = results["hypothetical"].treatments
+        assert [(r.treatment, r.comparator) for r in table.rows] == [
+            (a, b) for a in names for b in names if a != b
+        ]
+        for row in table.rows:
+            for label, result in results.items():
+                assert row.by_label[label] == comparison(result, row.treatment, row.comparator)
+            hyp, tp = row.by_label["hypothetical"], row.by_label["treatment_policy"]
+            assert row.attenuation == (abs(tp.md) < abs(hyp.md))
 
     def test_mismatched_treatment_sets_rejected(self, weight_results):
         base = synthetic_base([("T1", ["A", "B"], [0.02, 0.03], [1.5])])
