@@ -1,15 +1,16 @@
 """Fixed-effects network meta-analysis by generalized least squares.
 
 Contrasts are stacked into y = X theta + error with a block-diagonal
-covariance, one block per trial.  Two-arm trials contribute a 1x1 block
-[se^2]; a k-arm trial contributes a block built from per-arm variances
-(diagonal v_t + v_c, off-diagonal the shared arms' variance), so that
-correlated treatment effects within multi-arm trials are accounted for.
+covariance, kept as its blocks, one per trial.  Two-arm trials contribute
+a 1x1 block [se^2]; a k-arm trial contributes a block built from per-arm
+variances (diagonal v_t + v_c, off-diagonal the shared arms' variance), so
+that correlated treatment effects within multi-arm trials are accounted for.
 The design X is the network's signed incidence matrix without the
-reference's column.  The solve whitens with a Cholesky factor and uses QR
-on the whitened design; no explicit inverse of the covariance is formed.
-Each solve computes its league table once, over whole arrays, from the
-estimates and their covariance alone.
+reference's column.  The solve whitens each trial's rows by the Cholesky
+factor of its block and uses QR on the whitened design; neither the dense
+covariance (built only on demand, as `GlsSystem.sigma`) nor its inverse is
+formed.  Each solve computes its league table once, over whole arrays,
+from the estimates and their covariance alone.
 """
 
 from __future__ import annotations
@@ -57,39 +58,32 @@ def trial_covariance(
     """
     if not contrasts:
         raise CovarianceError("trial has no contrasts")
-    m = len(contrasts)
-    if m == 1:
+    if len(contrasts) == 1:
         return np.array([[contrasts[0].se ** 2]])
     if arm_variances is None:
         raise CovarianceError(
             "shared-arm variance unidentifiable: multi-arm trial needs arm-level variances"
         )
-    signs = []
-    for c in contrasts:
-        t, comp = c.treatment_key, c.comparator_key
-        for arm in (t, comp):
-            if arm not in arm_variances:
+    column = {arm: j for j, arm in enumerate(arm_variances)}
+    signs = np.zeros((len(contrasts), len(column)))  # S: +1 treatment, -1 comparator arm
+    for i, c in enumerate(contrasts):
+        for arm, sign in ((c.treatment_key, 1.0), (c.comparator_key, -1.0)):
+            if arm not in column:
                 raise CovarianceError(
                     f"shared-arm variance unidentifiable: no arm variance for {arm!r} "
                     f"in trial {c.trial_id!r}"
                 )
-        signs.append({t: 1.0, comp: -1.0})
-    block = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            block[i, j] = sum(
-                v * signs[i].get(arm, 0.0) * signs[j].get(arm, 0.0)
-                for arm, v in arm_variances.items()
-            )
+            signs[i, column[arm]] = sign
+    # S diag(v) S': each entry sums at most two nonzero, exactly signed variances
+    block = (signs * np.array(list(arm_variances.values()), dtype=float)) @ signs.T
     _require_positive_definite(block, f"covariance of trial {contrasts[0].trial_id!r}")
     return block
 
 
 def _require_positive_definite(matrix: np.ndarray, what: str) -> None:
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    floor = -abs(eigenvalues).max() * 1e-10 if eigenvalues.size else 0.0
-    if eigenvalues.size and eigenvalues.min() <= max(floor, 0.0):
-        raise CovarianceError(f"{what} is not positive definite (min eigenvalue {eigenvalues.min():g})")
+    smallest = np.linalg.eigvalsh(matrix).min()
+    if smallest <= 0.0:
+        raise CovarianceError(f"{what} is not positive definite (min eigenvalue {smallest:g})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +92,20 @@ class GlsSystem:
 
     y: np.ndarray
     design: np.ndarray
-    sigma: np.ndarray
+    blocks: tuple[np.ndarray, ...]  # per-trial covariance blocks, in row order
     reference: str
     treatments: tuple[str, ...]  # full node order, reference included
     parameters: tuple[str, ...]  # design columns (non-reference treatments)
     contrasts: tuple[ContrastEstimate, ...]
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """The dense block-diagonal covariance, built on demand; the solve never uses it."""
+        sigma, row = np.zeros((len(self.y), len(self.y))), 0
+        for block in self.blocks:
+            sigma[row : row + len(block), row : row + len(block)] = block
+            row += len(block)
+        return sigma
 
 
 def assemble_gls(
@@ -112,7 +115,7 @@ def assemble_gls(
     *,
     independence_fallback: bool = False,
 ) -> GlsSystem:
-    """Build y, X and the block-diagonal covariance for a network slice.
+    """Build y, X and the per-trial covariance blocks (in row order) for a network slice.
 
     Row order is the network's deterministic contrast order (trial id,
     treatment, comparator).  With `independence_fallback`, a multi-arm
@@ -125,17 +128,10 @@ def assemble_gls(
     contrasts = net.contrasts
     if len(contrasts) != len(net.edges):
         raise EngineError("network does not carry its contrast slice")
-    m = len(contrasts)
-    sigma = np.zeros((m, m))
-    row = 0
-    for block in trial_blocks(contrasts, base, independence_fallback=independence_fallback):
-        k = len(block)
-        sigma[row : row + k, row : row + k] = block
-        row += k
     return GlsSystem(
         y=np.array([c.md for c in contrasts]),
         design=np.delete(incidence(net), ref_idx, axis=1),
-        sigma=sigma,
+        blocks=tuple(trial_blocks(contrasts, base, independence_fallback=independence_fallback)),
         reference=net.nodes[ref_idx],
         treatments=net.nodes,
         parameters=net.nodes[:ref_idx] + net.nodes[ref_idx + 1 :],
@@ -165,9 +161,8 @@ def _block_for_trial(
     if len(group) == 1:
         return trial_covariance(group)
     sample = group[0]
-    arms = {c.treatment_key for c in group} | {c.comparator_key for c in group}
     variances: dict[str, float] = {}
-    for arm in arms:
+    for arm in {c.treatment_key for c in group} | {c.comparator_key for c in group}:
         summary = base.arm_summary(sample.trial_id, sample.estimand_label, sample.endpoint, arm)
         if summary is None:
             if independence_fallback:
@@ -218,17 +213,22 @@ class NmaResult:
 def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
     """Solve theta = (X' Sigma^-1 X)^-1 X' Sigma^-1 y with its covariance.
 
-    Whitens by the Cholesky factor of Sigma, then QR-factorizes the
-    whitened design.  Conditioning of X' Sigma^-1 X is checked: above 1e8 a
-    note is recorded, above 1e12 the solve is refused.  The league table
-    is computed here, once.
+    Whitens each trial's rows of X and y by the Cholesky factor of its block
+    (blocks of one size in one batched call) and QR-factorizes the whitened
+    design.  Conditioning of X' Sigma^-1 X is checked: above 1e8 a note is
+    recorded, above 1e12 the solve is refused.  The league table is computed here, once.
     """
-    try:
-        chol = np.linalg.cholesky(system.sigma)
-    except np.linalg.LinAlgError:
-        raise CovarianceError("covariance matrix is not positive definite") from None
-    design_w = np.linalg.solve(chol, system.design)
-    y_w = np.linalg.solve(chol, system.y)
+    sizes = np.array([len(block) for block in system.blocks])
+    starts = np.cumsum(sizes) - sizes
+    design_w, y_w = np.empty_like(system.design), np.empty_like(system.y)
+    for k in {len(block) for block in system.blocks}:
+        rows = starts[sizes == k, None] + np.arange(k)  # trials x k row indices
+        try:
+            chol = np.linalg.cholesky(np.stack([b for b in system.blocks if len(b) == k]))
+        except np.linalg.LinAlgError:
+            raise CovarianceError("covariance matrix is not positive definite") from None
+        design_w[rows] = np.linalg.solve(chol, system.design[rows])
+        y_w[rows] = np.linalg.solve(chol, system.y[rows, None])[..., 0]
     q, r = np.linalg.qr(design_w)
     singular_values = np.linalg.svd(r, compute_uv=False)
     if singular_values[-1] == 0.0:

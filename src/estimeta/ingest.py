@@ -169,6 +169,11 @@ class ContrastEstimate:
             raise ValueError(f"contrast compares {self.treatment!r} with itself")
         if not self.se > 0.0:
             raise ValueError(f"se must be a positive finite number, got {self.se!r}")
+        variance = self.se * self.se  # se**2 would raise OverflowError
+        if not (variance > 0.0 and math.isfinite(variance) and math.isfinite(1.0 / variance)):
+            raise ValueError(
+                f"field 'se' is out of range: {self.se!r} (se^2 and 1/se^2 must be finite and nonzero)"
+            )
 
     @property
     def key(self) -> tuple[str, str, str, str, str]:

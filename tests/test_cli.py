@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -301,3 +302,28 @@ class TestJsonDataErrors:
         assert main(["validate", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and "contrasts[3]" in err and "'md'" in err
+
+
+class TestExtremeSe:
+    """An SE whose square or inverse square is not a finite nonzero number is a data error."""
+
+    ROW = "semaglutide 2.0 mg QW,semaglutide 1.0 mg QW,-0.23,,"
+
+    @pytest.mark.parametrize("se", ["1e-170", "1e-160", "1e200"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["analyze", "--estimand", "hypothetical", "--endpoint", "hba1c"],
+            ["network", "--endpoint", "hba1c"],
+        ],
+        ids=["validate", "analyze", "network"],
+    )
+    def test_exit_two_naming_se(self, argv, se, tmp_path, capsys):
+        text = Path(CASE).read_text(encoding="utf-8")
+        assert text.count(self.ROW) == 1
+        path = tmp_path / "extreme_se.csv"
+        path.write_text(text.replace(self.ROW, f"{self.ROW[:-1]}{se},"), encoding="utf-8")
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "line" in err and "'se'" in err

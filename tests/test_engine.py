@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,7 +366,7 @@ class TestConditioning:
         system = GlsSystem(
             y=np.array([1.0, 1.0]),
             design=np.array([[-1.0, 0.0], [1.0, -1.0]]),
-            sigma=np.diag([1e-16, 1e16]),
+            blocks=(np.array([[1e-16]]), np.array([[1e16]])),
             reference="A",
             treatments=("A", "B", "C"),
             parameters=("B", "C"),
@@ -380,3 +381,40 @@ class TestConditioning:
         )
         with pytest.raises(ConnectivityCheckError):
             assemble_gls(net, synthetic_base([]), "A")
+
+
+class TestBlockWhitening:
+    def test_non_positive_definite_block_refused(self):
+        contrasts = (contrast("T1", "B", "A", 1.0, 0.2), contrast("T1", "C", "A", 0.5, 0.2))
+        system = GlsSystem(
+            y=np.array([1.0, 0.5]),
+            design=np.array([[1.0, 0.0], [0.0, 1.0]]),
+            blocks=(np.array([[0.02, 0.03], [0.03, 0.02]]),),  # eigenvalues 0.05 and -0.01
+            reference="A",
+            treatments=("A", "B", "C"),
+            parameters=("B", "C"),
+            contrasts=contrasts,
+        )
+        with pytest.raises(CovarianceError, match="not positive definite"):
+            solve_fixed_effects(system)
+
+    def test_no_dense_covariance_is_built(self):
+        # 3,000 contrasts: a dense 3,000 x 3,000 covariance alone takes 72 MB.
+        rng = np.random.default_rng(5)
+        names = [f"T{i:02d}" for i in range(20)]
+        pairs = [(names[i], names[i + 1]) for i in range(len(names) - 1)]  # spanning chain
+        pairs += [tuple(rng.choice(names, size=2, replace=False)) for _ in range(3000 - len(pairs))]
+        net = build_network(
+            [
+                contrast(f"trial-{j:04d}", a, b, float(rng.normal()), float(rng.uniform(0.1, 1.0)))
+                for j, (a, b) in enumerate(pairs)
+            ]
+        )
+        tracemalloc.start()
+        try:
+            result = solve_fixed_effects(assemble_gls(net, synthetic_base([]), names[0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.comparisons) == 20 * 19
+        assert peak < 16 * 2**20

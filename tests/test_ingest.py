@@ -462,6 +462,24 @@ class TestNumericCoercion:
         assert make_arm_n(n).n_randomized == 40
 
 
+class TestExtremeSe:
+    def test_tiny_se_with_finite_weight_accepted(self):
+        c = make_contrast_se(1e-150)
+        assert c.se == 1e-150 and math.isfinite(1.0 / (c.se * c.se))
+
+    @pytest.mark.parametrize("se", [1e-160, 1e-170, 1e200])
+    def test_se_without_finite_weight_rejected(self, se):
+        with pytest.raises(ValueError, match="'se' is out of range"):
+            make_contrast_se(se)
+
+
+def make_contrast_se(se):
+    return ContrastEstimate(
+        trial_id="T1", treatment="A", comparator="B", endpoint="outcome", estimand_label="primary",
+        md=0.0, se=se, source=UncertaintySource.REPORTED_SE,
+    )
+
+
 def make_arm_n(n):
     return ArmSummary(
         trial_id="T1", treatment="A", n_randomized=n, endpoint="outcome", estimand_label="primary",

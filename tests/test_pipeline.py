@@ -5,9 +5,12 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import DULA_30, DULA_45, HBA1C, SEMA_2, WEIGHT, synthetic_base
+from conftest import DULA_30, DULA_45, HBA1C, SEMA_2, WEIGHT, random_connected_base, synthetic_base
 from estimeta import network
 from estimeta.engine import comparison
 from estimeta.estimands import (
@@ -224,6 +227,23 @@ def weight_results(case_base):
         meta = synthesize_meta(case_base, WEIGHT, strategy, label=label)
         out[label] = run_analysis(case_base, meta, WEIGHT)
     return out
+
+
+class TestOrderInvariance:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_run_analysis_ignores_input_order(self, seed, data):
+        base = random_connected_base(np.random.default_rng(seed))
+        shuffled = EvidenceBase(
+            trials=dict(data.draw(st.permutations(list(base.trials.items())))),
+            contrasts=tuple(data.draw(st.permutations(base.contrasts))),
+            arm_summaries=tuple(data.draw(st.permutations(base.arm_summaries))),
+        )
+        meta = synthesize_meta(base, "outcome", HYP)
+        plain, other = (run_analysis(b, meta, "outcome") for b in (base, shuffled))
+        assert np.array_equal(plain.estimates, other.estimates)
+        assert np.array_equal(plain.covariance, other.covariance)
+        assert list(plain.comparisons.items()) == list(other.comparisons.items())
 
 
 class TestCompareStrategies:
