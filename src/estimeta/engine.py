@@ -11,6 +11,10 @@ factor of its block and uses QR on the whitened design; neither the dense
 covariance (built only on demand, as `GlsSystem.sigma`) nor its inverse is
 formed.  Each solve computes its league table once, over whole arrays,
 from the estimates and their covariance alone.
+
+A slice's blocks are built once, by `trial_blocks`: the feasibility report
+keeps them and the analysis assembles its system over them;
+`assemble_gls` builds them itself for callers that have none.
 """
 
 from __future__ import annotations
@@ -124,6 +128,13 @@ def assemble_gls(
     """
     if not is_connected(net):
         raise DisconnectedNetworkError("evidence network is disconnected")
+    system = _gls_system(net, reference, ())  # reference and slice checked before any block
+    blocks = trial_blocks(net.contrasts, base, independence_fallback=independence_fallback)
+    return replace(system, blocks=tuple(blocks))
+
+
+def _gls_system(net: EvidenceNetwork, reference: str, blocks: Sequence[np.ndarray]) -> GlsSystem:
+    """y and X of a connected network slice, over its per-trial covariance blocks."""
     ref_idx = net.node_index(reference)
     contrasts = net.contrasts
     if len(contrasts) != len(net.edges):
@@ -131,7 +142,7 @@ def assemble_gls(
     return GlsSystem(
         y=np.array([c.md for c in contrasts]),
         design=np.delete(incidence(net), ref_idx, axis=1),
-        blocks=tuple(trial_blocks(contrasts, base, independence_fallback=independence_fallback)),
+        blocks=tuple(blocks),
         reference=net.nodes[ref_idx],
         treatments=net.nodes,
         parameters=net.nodes[:ref_idx] + net.nodes[ref_idx + 1 :],
@@ -162,7 +173,8 @@ def _block_for_trial(
         return trial_covariance(group)
     sample = group[0]
     variances: dict[str, float] = {}
-    for arm in {c.treatment_key for c in group} | {c.comparator_key for c in group}:
+    # arms in order of first appearance, so that a message names the same arm on every run
+    for arm in dict.fromkeys(arm for c in group for arm in (c.treatment_key, c.comparator_key)):
         summary = base.arm_summary(sample.trial_id, sample.estimand_label, sample.endpoint, arm)
         if summary is None:
             if independence_fallback:

@@ -127,6 +127,8 @@ class Estimand:
     label_key: str = field(init=False, repr=False, compare=False)
     population_key: str = field(init=False, repr=False, compare=False)
     treatment_keys: frozenset[str] = field(init=False, repr=False, compare=False)
+    # canonical event name -> declared strategy, in declaration order
+    events: Mapping[str, IntercurrentEventStrategy] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "treatments", frozenset(normalize_id(t) for t in self.treatments))
@@ -136,20 +138,14 @@ class Estimand:
         object.__setattr__(self, "label_key", canonical(self.label))
         object.__setattr__(self, "population_key", canonical(self.population))
         object.__setattr__(self, "treatment_keys", frozenset(canonical(t) for t in self.treatments))
+        object.__setattr__(self, "events", {h.event_name: h.strategy for h in self.ie_handlings})
 
     def strategy_for(self, event_name: str) -> Optional[IntercurrentEventStrategy]:
         """Declared strategy for an event, or None if the trial never declared it."""
         key = canonical(event_name)
         if not key:
             raise ValueError("intercurrent event name is empty after canonicalization")
-        for h in self.ie_handlings:
-            if h.event_name == key:
-                return h.strategy
-        return None
-
-    @property
-    def events(self) -> Mapping[str, IntercurrentEventStrategy]:
-        return {h.event_name: h.strategy for h in self.ie_handlings}
+        return self.events.get(key)
 
 
 @dataclass(frozen=True)
@@ -446,23 +442,14 @@ class AlignmentReport:
         return all(row.verdict.compatible for row in self.rows)
 
 
-def heterogeneity_matrix(
-    estimands: Sequence[tuple[str, Estimand]] | Sequence[Estimand],
-    meta: MetaEstimand,
-) -> AlignmentReport:
-    """Cross-trial alignment table against a target meta-estimand.
+def heterogeneity_matrix(estimands: Sequence[Estimand], meta: MetaEstimand) -> AlignmentReport:
+    """Cross-trial alignment table against a target meta-estimand, one row per
+    estimand, named by its label.
 
-    Accepts either bare estimands (rows named by their labels) or
-    (row_name, estimand) pairs for callers that want trial-qualified names.
+    A feasibility report builds its own table, with rows named
+    "<trial>: <label>", from the verdicts its restriction already holds.
     """
-    items = list(estimands)
-    if not items:
+    rows = tuple(AlignmentRow(label=e.label, verdict=matches_meta(e, meta)) for e in estimands)
+    if not rows:
         raise ValueError("heterogeneity_matrix needs at least one estimand")
-    rows = []
-    for item in items:
-        if isinstance(item, Estimand):
-            name, estimand = item.label, item
-        else:
-            name, estimand = item
-        rows.append(AlignmentRow(label=name, verdict=matches_meta(estimand, meta)))
-    return AlignmentReport(meta_label=meta.label, rows=tuple(rows))
+    return AlignmentReport(meta_label=meta.label, rows=rows)

@@ -20,7 +20,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Optional, Union
+from typing import IO, Iterator, Mapping, Optional, Sequence, Union
 
 from .estimands import (
     EndpointSpec,
@@ -53,6 +53,13 @@ def se_from_ci(lower: float, upper: float, level: float = 0.95) -> float:
     if lower >= upper:
         raise ValueError(f"ci_lower must be below ci_upper, got ({lower!r}, {upper!r})")
     return (upper - lower) / (2.0 * z_for_level(level))
+
+
+def _check_se(se: float, what: str) -> None:
+    """Reject an SE whose square or inverse square is not a finite nonzero number."""
+    variance = se * se  # se**2 would raise OverflowError
+    if not (variance > 0.0 and math.isfinite(variance) and math.isfinite(1.0 / variance)):
+        raise ValueError(f"{what} is out of range: {se!r} (se^2 and 1/se^2 must be finite and nonzero)")
 
 
 class UncertaintySource(enum.Enum):
@@ -105,6 +112,7 @@ class ArmSummary:
     ci_level: float = 0.95
     label_key: str = field(init=False, repr=False, compare=False)
     treatment_key: str = field(init=False, repr=False, compare=False)
+    se: float = field(init=False, repr=False, compare=False)  # back-calculated from the interval
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trial_id", normalize_id(self.trial_id))
@@ -121,6 +129,8 @@ class ArmSummary:
             raise ValueError(f"ci_level must lie in (0, 1), got {self.ci_level}")
         if self.ci_lower >= self.ci_upper:
             raise ValueError(f"ci_lower must be below ci_upper, got ({self.ci_lower}, {self.ci_upper})")
+        object.__setattr__(self, "se", se_from_ci(self.ci_lower, self.ci_upper, self.ci_level))
+        _check_se(self.se, "the se implied by ci_lower and ci_upper")
 
     @property
     def key(self) -> tuple[str, str, str, str]:
@@ -128,12 +138,8 @@ class ArmSummary:
         return (self.trial_id, self.label_key, self.endpoint, self.treatment_key)
 
     @property
-    def se(self) -> float:
-        return se_from_ci(self.ci_lower, self.ci_upper, self.ci_level)
-
-    @property
     def variance(self) -> float:
-        return self.se**2
+        return self.se * self.se
 
 
 @dataclass(frozen=True)
@@ -169,11 +175,7 @@ class ContrastEstimate:
             raise ValueError(f"contrast compares {self.treatment!r} with itself")
         if not self.se > 0.0:
             raise ValueError(f"se must be a positive finite number, got {self.se!r}")
-        variance = self.se * self.se  # se**2 would raise OverflowError
-        if not (variance > 0.0 and math.isfinite(variance) and math.isfinite(1.0 / variance)):
-            raise ValueError(
-                f"field 'se' is out of range: {self.se!r} (se^2 and 1/se^2 must be finite and nonzero)"
-            )
+        _check_se(self.se, "field 'se'")
 
     @property
     def key(self) -> tuple[str, str, str, str, str]:
@@ -237,12 +239,19 @@ class EvidenceBase:
     _arm_index: Mapping[tuple[str, str, str, str], ArmSummary] = field(
         init=False, repr=False, compare=False
     )
+    # endpoint key -> trial id -> that trial's estimands of the endpoint, all in declaration order
+    _estimand_index: Mapping[str, Mapping[str, list[Estimand]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index: dict[tuple[str, str, str, str], ArmSummary] = {}
         for arm in self.arm_summaries:
             index.setdefault(arm.key, arm)
         object.__setattr__(self, "_arm_index", index)
+        by_endpoint: dict[str, dict[str, list[Estimand]]] = {}
+        for trial_id, trial in self.trials.items():
+            for est in trial.estimands.values():
+                by_endpoint.setdefault(est.endpoint.key, {}).setdefault(trial_id, []).append(est)
+        object.__setattr__(self, "_estimand_index", by_endpoint)
 
     def arm_summary(
         self, trial_id: str, estimand_label: str, endpoint_key: str, treatment: str
@@ -251,20 +260,16 @@ class EvidenceBase:
         return self._arm_index.get(key)
 
     def endpoint_keys(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for trial in self.trials.values():
-            for est in trial.estimands.values():
-                seen.setdefault(est.endpoint.key)
-        return tuple(seen)
+        return tuple(self._estimand_index)
+
+    def estimands_by_trial(self, endpoint_key: str) -> Mapping[str, Sequence[Estimand]]:
+        """Trial id -> the trial's estimands of a canonical endpoint key, in declaration
+        order; a trial declaring none for the endpoint is absent."""
+        return self._estimand_index.get(endpoint_key, {})
 
     def endpoint_specs(self, endpoint_key: str) -> tuple[EndpointSpec, ...]:
-        key = canonical(endpoint_key)
-        out = []
-        for trial in self.trials.values():
-            for est in trial.estimands.values():
-                if est.endpoint.key == key:
-                    out.append(est.endpoint)
-        return tuple(out)
+        per_trial = self.estimands_by_trial(canonical(endpoint_key))
+        return tuple(est.endpoint for ests in per_trial.values() for est in ests)
 
     def treatments(self) -> tuple[str, ...]:
         seen: dict[str, str] = {}
@@ -782,24 +787,15 @@ def _strategy_coverage_issues(base: EvidenceBase) -> list[Issue]:
     """Warn when a pure intercurrent-event strategy is available in some trials only."""
     issues: list[Issue] = []
     for key in base.endpoint_keys():
-        per_trial: dict[str, list[Estimand]] = {}
-        for tid, trial in base.trials.items():
-            ests = [e for e in trial.estimands.values() if e.endpoint.key == key]
-            if ests:
-                per_trial[tid] = ests
+        per_trial = base.estimands_by_trial(key)
         if len(per_trial) < 2:
             continue
         event_sets = [set().union(*(e.events.keys() for e in ests)) for ests in per_trial.values()]
         common_events = set.intersection(*event_sets)
         if not common_events:
             continue
-        strategies = {
-            e.events[ev]
-            for ests in per_trial.values()
-            for e in ests
-            for ev in common_events
-            if ev in e.events
-        }
+        estimands = [e for ests in per_trial.values() for e in ests]
+        strategies = {e.events[ev] for e in estimands for ev in common_events if ev in e.events}
         for strategy in sorted(strategies, key=lambda s: s.value):
             supporting = [
                 tid

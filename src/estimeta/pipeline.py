@@ -1,10 +1,12 @@
 """Orchestration: restrict the evidence by a target meta-estimand, assess
 feasibility, run per-slice analyses, and compare strategies side by side.
 
-A slice is one (meta-estimand, endpoint) pair.  Restriction keeps exactly
-the contrasts whose trial-level estimand is admissible under the target;
-every input contrast lands in the provenance exactly once, either used or
-excluded with reasons.
+A slice is one (meta-estimand, endpoint) pair.  Restriction judges each
+trial estimand of the endpoint once and keeps exactly the contrasts whose
+estimand is admissible under the target; every input contrast lands in the
+provenance exactly once, either used or excluded with reasons.  Feasibility
+reads the same verdicts, and the analysis solves over the covariance
+blocks that feasibility built.
 """
 
 from __future__ import annotations
@@ -12,21 +14,25 @@ from __future__ import annotations
 import enum
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from pathlib import Path
 from typing import Mapping, Optional
+
+import numpy as np
 
 from .engine import (
     ComparisonResult,
     CovarianceError,
     NmaResult,
+    _gls_system,
     assemble_gls,
     solve_fixed_effects,
     trial_blocks,
 )
 from .estimands import (
     AlignmentReport,
+    AlignmentRow,
     EndpointSpec,
     Estimand,
     IntercurrentEventHandling,
@@ -36,7 +42,6 @@ from .estimands import (
     MetaEstimand,
     SummaryMeasure,
     canonical,
-    heterogeneity_matrix,
     matches_meta,
 )
 from .ingest import ContrastEstimate, EvidenceBase
@@ -79,6 +84,9 @@ class Restriction:
     used: tuple[ContrastEstimate, ...]
     excluded: tuple[ExcludedContrast, ...]
     warnings: tuple[Reason, ...]
+    # (trial id, estimand label key) -> (estimand, its verdict), for every estimand
+    # the input declares for the endpoint, in trial and declaration order
+    verdicts: Mapping[tuple[str, str], tuple[Estimand, MatchVerdict]]
 
 
 @dataclass(frozen=True)
@@ -102,23 +110,34 @@ class FeasibilityReport:
     alignment: AlignmentReport
     restriction: Restriction
     network: Optional[EvidenceNetwork]
+    # per-trial covariance blocks of the network's contrasts, in row order; None
+    # unless the network is connected and every block could be built
+    blocks: Optional[tuple[np.ndarray, ...]] = field(default=None, compare=False)
 
 
 def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> Restriction:
-    """Keep the contrasts admissible under the meta-estimand for one endpoint."""
+    """Keep the contrasts admissible under the meta-estimand for one endpoint.
+
+    Each trial estimand of the endpoint is matched once (`Restriction.verdicts`);
+    the contrasts, their exclusion reasons and the warnings read those verdicts.
+    """
     key = canonical(endpoint)
+    verdicts = {
+        (trial_id, est.label_key): (est, matches_meta(est, meta))
+        for trial_id, ests in base.estimands_by_trial(key).items()
+        for est in ests
+    }
     used: list[ContrastEstimate] = []
     excluded: list[ExcludedContrast] = []
     warnings: dict[tuple[str, str], None] = {}
-    verdicts: dict[int, MatchVerdict] = {}  # id of a trial estimand -> its verdict
     for contrast in base.contrasts:
         if contrast.endpoint != key:
             excluded.append(
                 ExcludedContrast(contrast, (f"endpoint mismatch: {contrast.endpoint} vs {key}",))
             )
             continue
-        estimand = base.estimand_of(contrast)
-        if estimand is None:
+        _, verdict = verdicts.get((contrast.trial_id, contrast.label_key), (None, None))
+        if verdict is None:
             excluded.append(
                 ExcludedContrast(
                     contrast,
@@ -126,9 +145,6 @@ def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> 
                 )
             )
             continue
-        verdict = verdicts.get(id(estimand))
-        if verdict is None:
-            verdict = verdicts[id(estimand)] = matches_meta(estimand, meta)
         if not verdict.compatible:
             excluded.append(ExcludedContrast(contrast, verdict.blockers))
             continue
@@ -154,27 +170,23 @@ def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> 
         used=tuple(used),
         excluded=tuple(excluded),
         warnings=tuple(Reason(code, "warning", message) for code, message in warnings),
+        verdicts=verdicts,
     )
 
 
-def _alignment_for(base: EvidenceBase, meta: MetaEstimand, endpoint_key: str) -> AlignmentReport:
-    rows: list[tuple[str, Estimand]] = []
-    for trial_id, trial in base.trials.items():
-        for estimand in trial.estimands.values():
-            if estimand.endpoint.key == endpoint_key:
-                rows.append((f"{trial_id}: {estimand.label}", estimand))
-    if not rows:
-        return AlignmentReport(meta_label=meta.label, rows=())
-    return heterogeneity_matrix(rows, meta)
-
-
 def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> FeasibilityReport:
-    """Compose alignment, restriction, connectivity, and covariance checks."""
+    """Compose restriction, alignment, connectivity, and covariance checks.
+
+    The alignment rows ("<trial>: <label>") are the restriction's verdicts;
+    the covariance blocks built for the identifiability check are kept.
+    """
     key = canonical(endpoint)
     restriction = restrict_evidence(base, meta, endpoint)
-    alignment = _alignment_for(base, meta, key)
+    rows = [AlignmentRow(f"{tid}: {est.label}", v) for (tid, _), (est, v) in restriction.verdicts.items()]
+    alignment = AlignmentReport(meta_label=meta.label, rows=tuple(rows))
     reasons: list[Reason] = list(restriction.warnings)
     net: Optional[EvidenceNetwork] = None
+    blocks: Optional[tuple[np.ndarray, ...]] = None
 
     if not restriction.used:
         reasons.append(
@@ -190,18 +202,12 @@ def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) ->
             )
         else:
             try:
-                trial_blocks(net.contrasts, restriction.base)
+                blocks = tuple(trial_blocks(net.contrasts, restriction.base))
             except CovarianceError as exc:
                 reasons.append(Reason("covariance_unidentifiable", "error", str(exc)))
 
-        timepoints = sorted(
-            {
-                est.endpoint.timepoint_weeks
-                for c in restriction.used
-                for est in (restriction.base.estimand_of(c),)
-                if est is not None
-            }
-        )
+        estimands = (restriction.verdicts[c.trial_id, c.label_key][0] for c in restriction.used)
+        timepoints = sorted({est.endpoint.timepoint_weeks for est in estimands})
         if len(timepoints) > 1:
             listed = ", ".join(str(t) for t in timepoints)
             reasons.append(
@@ -220,6 +226,7 @@ def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) ->
         alignment=alignment,
         restriction=restriction,
         network=net,
+        blocks=blocks,
     )
 
 
@@ -238,9 +245,9 @@ def run_analysis(
 ) -> NmaResult:
     """Restrict, build, assemble and solve one slice, with provenance attached.
 
-    Force mode downgrades a missing multi-arm covariance to an
-    independence approximation; it cannot rescue an empty or disconnected
-    slice.
+    The GLS system is assembled from the blocks the feasibility report kept.
+    Force mode downgrades a missing multi-arm covariance to an independence
+    approximation; it cannot rescue an empty or disconnected slice.
     """
     report = feasibility_report(base, meta, endpoint)
     if report.verdict is FeasibilityVerdict.INFEASIBLE:
@@ -255,7 +262,10 @@ def run_analysis(
     net = report.network
     assert net is not None
     ref = reference if reference is not None else default_reference(net)
-    system = assemble_gls(net, report.restriction.base, ref, independence_fallback=force)
+    if report.blocks is not None:
+        system = _gls_system(net, ref, report.blocks)
+    else:  # forced past an unidentifiable covariance
+        system = assemble_gls(net, report.restriction.base, ref, independence_fallback=True)
     result = solve_fixed_effects(system, ci_level)
 
     notes = list(result.notes)
@@ -426,22 +436,13 @@ def synthesize_meta(
     trial reporting the endpoint; population, timepoint and summary measure
     are the modal values across those trials.
     """
-    key = canonical(endpoint)
-    per_trial: dict[str, list[Estimand]] = {}
-    for trial_id, trial in base.trials.items():
-        ests = [e for e in trial.estimands.values() if e.endpoint.key == key]
-        if ests:
-            per_trial[trial_id] = ests
+    per_trial = base.estimands_by_trial(canonical(endpoint))
     if not per_trial:
         raise ValueError(f"no estimands are declared for endpoint {endpoint!r}")
 
-    event_sets = []
-    for ests in per_trial.values():
-        covered: set[str] = set()
-        for est in ests:
-            covered.update(ev for ev, s in est.events.items() if s is strategy)
-        event_sets.append(covered)
-    common = set.intersection(*event_sets)
+    common = set.intersection(
+        *({ev for e in ests for ev, s in e.events.items() if s is strategy} for ests in per_trial.values())
+    )
     if not common:
         raise ValueError(
             f"no intercurrent event is handled by {strategy.value} in every trial "

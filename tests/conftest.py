@@ -126,6 +126,21 @@ def random_connected_base(rng: np.random.Generator, max_nodes: int = 6, max_tria
             return base
 
 
+def large_connected_base(rng: np.random.Generator, n_nodes: int = 100, n_trials: int = 1000) -> EvidenceBase:
+    """Connected network of a fixed size: a spanning chain of two-arm trials, then
+    random trials of which about 30% have three arms."""
+    nodes = [f"T{i}" for i in range(n_nodes)]
+    trials = []
+    for j in range(n_trials):
+        if j < n_nodes - 1:
+            arms = nodes[j : j + 2]
+        else:
+            arms = list(rng.choice(nodes, size=3 if rng.random() < 0.3 else 2, replace=False))
+        variances = list(rng.uniform(0.05, 1.0, size=len(arms)))
+        trials.append((f"trial-{j}", arms, variances, list(rng.normal(0.0, 2.0, size=len(arms) - 1))))
+    return synthetic_base(trials)
+
+
 # --- independent oracles ------------------------------------------------------
 
 

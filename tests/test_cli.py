@@ -327,3 +327,24 @@ class TestExtremeSe:
         assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and "line" in err and "'se'" in err
+
+
+class TestExtremeArmSe:
+    """An arm row whose interval gives an SE without a finite nonzero square is a data error."""
+
+    ROW = "AWARD-11,efficacy,change from baseline in HbA1c,dulaglutide 1.5 mg QW,612,-1.53,-1.61,-1.45,0.95"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate"], ["analyze", "--estimand", "hypothetical", "--endpoint", "hba1c"]],
+        ids=["validate", "analyze"],
+    )
+    def test_exit_two_at_the_arm_line(self, argv, tmp_path, capsys):
+        lines = Path(CASE).read_text(encoding="utf-8").splitlines(keepends=True)
+        (number,) = [n for n, line in enumerate(lines, start=1) if line.rstrip("\n") == self.ROW]
+        lines[number - 1] = self.ROW.replace("-1.61,-1.45", "-1e200,1e200") + "\n"
+        path = tmp_path / "extreme_arm.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: line {number}: " in err and "out of range" in err

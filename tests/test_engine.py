@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from conftest import (
     HBA1C,
     SEMA_2,
     gls_brute,
+    large_connected_base,
     make_estimand,
     random_connected_base,
     synthetic_base,
@@ -34,7 +39,9 @@ from estimeta.engine import (
 from estimeta.estimands import IntercurrentEventStrategy, canonical
 from estimeta.ingest import ContrastEstimate, TrialRecord, UncertaintySource
 from estimeta.network import ConnectivityCheckError, build_network
-from estimeta.pipeline import restrict_evidence, synthesize_meta
+from estimeta.pipeline import restrict_evidence, run_analysis, synthesize_meta
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def contrast(trial, t, c, md, se, endpoint="outcome"):
@@ -84,6 +91,28 @@ class TestTrialCovariance:
         ]
         with pytest.raises(CovarianceError, match="not positive definite"):
             trial_covariance(contrasts, arm_variances={"a": 0.01, "b": 0.02, "c": 0.03})
+
+    def test_missing_arm_named_whatever_the_hash_seed(self):
+        # a three-arm trial without arm rows: string hashing, and so set order, varies by seed
+        script = (
+            "from estimeta.engine import CovarianceError, trial_blocks\n"
+            "from estimeta.ingest import ContrastEstimate, EvidenceBase, UncertaintySource\n"
+            "contrasts = [ContrastEstimate('T1', t, 'a', 'outcome', 'primary', 0.5, 0.2,\n"
+            "                              UncertaintySource.REPORTED_SE) for t in 'bc']\n"
+            "try:\n"
+            "    trial_blocks(contrasts, EvidenceBase(trials={}, contrasts=(), arm_summaries=()))\n"
+            "except CovarianceError as exc:\n"
+            "    print(exc)\n"
+        )
+        messages = set()
+        for seed in range(1, 6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+            assert run.returncode == 0, run.stderr
+            messages.add(run.stdout)
+        assert len(messages) == 1
+        assert "lacks an arm summary for" in messages.pop()
 
 
 class TestAssemble:
@@ -230,6 +259,19 @@ class TestRandomizedProperties:
             theta, cov = gls_brute(system.y, system.design, system.sigma)
             np.testing.assert_allclose(result.estimates, theta, rtol=1e-8, atol=1e-11)
             np.testing.assert_allclose(result.covariance, cov, rtol=1e-8, atol=1e-11)
+
+    def test_reference_invariance_at_bench_scale(self):
+        base = large_connected_base(np.random.default_rng(2024))
+        assert len(base.trials) == 1000 and any(len(t.arms) == 3 for t in base.trials.values())
+        meta = synthesize_meta(base, "outcome", IntercurrentEventStrategy.HYPOTHETICAL)
+        default = run_analysis(base, meta, "outcome")
+        assert len(default.treatments) == 100
+        for reference in ("T7", "T50", "T99"):
+            other = run_analysis(base, meta, "outcome", reference=reference)
+            assert other.reference == reference
+            for key, c in default.comparisons.items():  # criterion 5's tolerance
+                assert abs(other.comparisons[key].md - c.md) < 1e-10
+                assert abs(other.comparisons[key].se - c.se) < 1e-10
 
     def test_reference_invariance(self, corpus):
         for base in corpus[:40]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -471,6 +472,15 @@ class TestExtremeSe:
     def test_se_without_finite_weight_rejected(self, se):
         with pytest.raises(ValueError, match="'se' is out of range"):
             make_contrast_se(se)
+
+    def test_ordinary_arm_accepted(self):
+        arm = make_arm_n(100)
+        assert arm.variance == arm.se * arm.se
+
+    @pytest.mark.parametrize("half_width", [1e200, 1e-200])
+    def test_arm_without_finite_weight_rejected(self, half_width):
+        with pytest.raises(ValueError, match="se implied by ci_lower and ci_upper is out of range"):
+            dataclasses.replace(make_arm_n(100), ci_lower=-half_width, ci_upper=half_width)
 
 
 def make_contrast_se(se):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DULA_30, DULA_45, HBA1C, SEMA_2, WEIGHT, random_connected_base, synthetic_base
-from estimeta import network
-from estimeta.engine import comparison
+from estimeta import engine, estimands, network, pipeline
+from estimeta.engine import CovarianceError, comparison
 from estimeta.estimands import (
     EndpointSpec,
     IntercurrentEventStrategy,
@@ -20,7 +21,7 @@ from estimeta.estimands import (
     MetaEstimand,
     SummaryMeasure,
 )
-from estimeta.ingest import EvidenceBase
+from estimeta.ingest import ContrastEstimate, EvidenceBase, UncertaintySource
 from estimeta.pipeline import (
     AnalysisConfig,
     FeasibilityVerdict,
@@ -154,6 +155,20 @@ class TestFeasibility:
             "SUSTAIN FORTE: hypothetical",
         ]
 
+    def test_each_trial_estimand_judged_once(self, case_base, hyp_meta, monkeypatch):
+        calls = []
+        original = estimands.matches_meta
+
+        def counted(estimand, meta):
+            calls.append(estimand)
+            return original(estimand, meta)
+
+        for module in (estimands, pipeline):
+            monkeypatch.setattr(module, "matches_meta", counted)
+        report = feasibility_report(case_base, hyp_meta, HBA1C)
+        assert len(calls) == len({id(e) for e in calls}) == 6
+        assert len(report.alignment.rows) == 6
+
 
 class TestRunAnalysis:
     def test_single_trial_identity(self):
@@ -214,6 +229,34 @@ class TestRunAnalysis:
         monkeypatch.setattr(network, "laplacian_connected", counted)
         run_analysis(case_base, hyp_meta, HBA1C)
         assert len(calls) == 1
+
+    def test_covariance_blocks_built_once_per_slice(self, case_base, hyp_meta, monkeypatch):
+        calls = []
+        original = engine.trial_covariance
+
+        def counted(contrasts, arm_variances=None):
+            calls.append(contrasts[0].trial_id)
+            return original(contrasts, arm_variances)
+
+        monkeypatch.setattr(engine, "trial_covariance", counted)
+        result = run_analysis(case_base, hyp_meta, HBA1C)
+        assert sorted(calls) == sorted({c.trial_id for c in result.provenance.used})
+        assert len(calls) == 3
+
+    def test_force_still_refuses_a_built_singular_block(self):
+        # B-A, C-A and C-B of one three-arm trial: the block built from the arms is singular
+        variances = [0.25, 0.5, 1.0]
+        base = synthetic_base([("T1", ["A", "B", "C"], variances, [1.0, 0.5])])
+        third = ContrastEstimate(
+            trial_id="T1", treatment="C", comparator="B", endpoint="outcome", estimand_label="primary",
+            md=-0.5, se=math.sqrt(variances[1] + variances[2]), source=UncertaintySource.FROM_ARMS,
+        )
+        base = dataclasses.replace(base, contrasts=base.contrasts + (third,))
+        meta = synthesize_meta(base, "outcome", HYP)
+        report = feasibility_report(base, meta, "outcome")
+        assert [r.code for r in report.reasons] == ["covariance_unidentifiable"]
+        with pytest.raises(CovarianceError, match="not positive definite"):
+            run_analysis(base, meta, "outcome", force=True)
 
     def test_reference_override(self, case_base, hyp_meta):
         result = run_analysis(case_base, hyp_meta, HBA1C, reference=SEMA_2)
