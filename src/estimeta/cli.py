@@ -13,7 +13,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .engine import (
     DisconnectedNetworkError,
@@ -86,6 +86,13 @@ def build_parser() -> _Parser:
         mode.add_argument("--lenient", action="store_true",
                           help="allow extra events with a warning (default)")
 
+    def solving(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--reference", default=None, help="reference treatment")
+        p.add_argument("--ci-level", type=float, default=None, dest="ci_level",
+                       help="confidence level (default: 0.95)")
+        p.add_argument("--force", action="store_true",
+                       help="downgrade recoverable feasibility errors to warnings")
+
     p = sub.add_parser("validate", help="parse an evidence file and report issues")
     common(p)
     p.set_defaults(handler=_cmd_validate)
@@ -102,11 +109,7 @@ def build_parser() -> _Parser:
     slicing(p)
     p.add_argument("--estimand", required=True,
                    help="meta-estimand label (configured) or strategy token")
-    p.add_argument("--reference", default=None, help="reference treatment")
-    p.add_argument("--ci-level", type=float, default=None, dest="ci_level",
-                   help="confidence level (default: 0.95)")
-    p.add_argument("--force", action="store_true",
-                   help="downgrade recoverable feasibility errors to warnings")
+    solving(p)
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("compare", help="compare two meta-estimand strategies side by side")
@@ -114,9 +117,7 @@ def build_parser() -> _Parser:
     slicing(p)
     p.add_argument("--estimands", nargs=2, required=True, metavar=("FIRST", "SECOND"),
                    help="two meta-estimand labels or strategy tokens")
-    p.add_argument("--reference", default=None, help="reference treatment")
-    p.add_argument("--ci-level", type=float, default=None, dest="ci_level")
-    p.add_argument("--force", action="store_true")
+    solving(p)
     p.set_defaults(handler=_cmd_compare)
     return parser
 
@@ -125,10 +126,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -191,16 +188,20 @@ def _matching_args(args) -> tuple[int, MatchingMode]:
     return tolerance, mode
 
 
-def _ci_level(args, config: Optional[AnalysisConfig]) -> float:
-    if args.ci_level is not None:  # an invalid level such as 0 is rejected downstream, not replaced
-        return args.ci_level
-    return config.ci_level if config else 0.95
-
-
 def _load_context(args) -> tuple[EvidenceBase, Optional[AnalysisConfig]]:
     base = parse_evidence(args.input)
     config = load_config(args.config, base) if getattr(args, "config", None) else None
     return base, config
+
+
+def _report(endpoint: str, results: Mapping[str, NmaResult]) -> None:
+    """Each slice's notes and contrast counts, on stderr."""
+    for label, result in results.items():
+        for note in result.notes:
+            print(f"note: {note}", file=sys.stderr)
+        if result.provenance:
+            used, excluded = len(result.provenance.used), len(result.provenance.excluded)
+            print(f"{endpoint} / {label}: {used} contrasts used, {excluded} excluded", file=sys.stderr)
 
 
 def _fmt2(value: float) -> str:
@@ -310,25 +311,28 @@ def _render_league(result: NmaResult, fmt: str) -> str:
     )
 
 
-def _cmd_analyze(args) -> int:
+def _run_slices(args, labels: Sequence[str]) -> tuple[str, float, dict[str, NmaResult]]:
+    """Resolve the endpoint and each meta-estimand label, and run one slice per label."""
     base, config = _load_context(args)
     endpoint = _resolve_endpoint(base, args.endpoint)
     tolerance, mode = _matching_args(args)
-    meta = resolve_meta(
-        base, endpoint, args.estimand, config=config, tolerance_weeks=tolerance, mode=mode
-    )
     reference = args.reference or (config.reference if config else None)
-    ci_level = _ci_level(args, config)
-    result = run_analysis(
-        base, meta, endpoint, reference=reference, ci_level=ci_level, force=args.force
-    )
+    # an invalid --ci-level such as 0 is rejected downstream, not replaced
+    ci_level = args.ci_level if args.ci_level is not None else config.ci_level if config else 0.95
+    results = {}
+    for label in labels:
+        meta = resolve_meta(base, endpoint, label, config=config, tolerance_weeks=tolerance, mode=mode)
+        results[meta.label] = run_analysis(
+            base, meta, endpoint, reference=reference, ci_level=ci_level, force=args.force
+        )
+    return endpoint, ci_level, results
+
+
+def _cmd_analyze(args) -> int:
+    endpoint, _, results = _run_slices(args, [args.estimand])
+    (result,) = results.values()
     _emit(_render_league(result, args.format), args.output)
-    for note in result.notes:
-        print(f"note: {note}", file=sys.stderr)
-    if result.provenance:
-        used, excluded = len(result.provenance.used), len(result.provenance.excluded)
-        print(f"{endpoint} / {meta.label}: {used} contrasts used, {excluded} excluded",
-              file=sys.stderr)
+    _report(endpoint, results)
     return EXIT_OK
 
 
@@ -367,21 +371,10 @@ def _render_comparison(table: StrategyComparison, fmt: str, ci_level: float) -> 
 
 
 def _cmd_compare(args) -> int:
-    base, config = _load_context(args)
-    endpoint = _resolve_endpoint(base, args.endpoint)
-    tolerance, mode = _matching_args(args)
-    reference = args.reference or (config.reference if config else None)
-    ci_level = _ci_level(args, config)
-    results = {}
-    for label in args.estimands:
-        meta = resolve_meta(
-            base, endpoint, label, config=config, tolerance_weeks=tolerance, mode=mode
-        )
-        results[meta.label] = run_analysis(
-            base, meta, endpoint, reference=reference, ci_level=ci_level, force=args.force
-        )
+    endpoint, ci_level, results = _run_slices(args, args.estimands)
     table = compare_strategies(results, endpoint)
     _emit(_render_comparison(table, args.format, ci_level), args.output)
+    _report(endpoint, results)
     return EXIT_OK
 
 

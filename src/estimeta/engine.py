@@ -58,7 +58,9 @@ def trial_covariance(
 
     A single contrast yields [se^2].  With two or more contrasts, per-arm
     variances must be supplied, keyed by canonical treatment id; the block
-    is assembled from them and must be positive definite.
+    is assembled from them.  It is positive definite exactly when the contrasts,
+    as edges over the arms, form a forest (a repeated pair is a cycle of two),
+    which a union-find pass decides; an eigenvalue test guards against rounding.
     """
     if not contrasts:
         raise CovarianceError("trial has no contrasts")
@@ -70,6 +72,7 @@ def trial_covariance(
         )
     column = {arm: j for j, arm in enumerate(arm_variances)}
     signs = np.zeros((len(contrasts), len(column)))  # S: +1 treatment, -1 comparator arm
+    component = list(range(len(column)))  # union-find (quick-find) over the arms
     for i, c in enumerate(contrasts):
         for arm, sign in ((c.treatment_key, 1.0), (c.comparator_key, -1.0)):
             if arm not in column:
@@ -78,6 +81,13 @@ def trial_covariance(
                     f"in trial {c.trial_id!r}"
                 )
             signs[i, column[arm]] = sign
+        a, b = component[column[c.treatment_key]], component[column[c.comparator_key]]
+        if a == b:
+            raise CovarianceError(
+                f"covariance of trial {c.trial_id!r} is not positive definite: its contrasts "
+                "are linearly dependent (they close a cycle over its arms)"
+            )
+        component = [a if k == b else k for k in component]
     # S diag(v) S': each entry sums at most two nonzero, exactly signed variances
     block = (signs * np.array(list(arm_variances.values()), dtype=float)) @ signs.T
     _require_positive_definite(block, f"covariance of trial {contrasts[0].trial_id!r}")
@@ -159,7 +169,7 @@ def trial_blocks(
         group = list(grouped)
         labels = {c.label_key for c in group}
         if len(labels) > 1:
-            raise EngineError(
+            raise CovarianceError(
                 f"trial {trial_id!r} contributes contrasts under several estimands: {sorted(labels)}"
             )
         blocks.append(_block_for_trial(group, base, independence_fallback))

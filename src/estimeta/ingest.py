@@ -267,10 +267,6 @@ class EvidenceBase:
         order; a trial declaring none for the endpoint is absent."""
         return self._estimand_index.get(endpoint_key, {})
 
-    def endpoint_specs(self, endpoint_key: str) -> tuple[EndpointSpec, ...]:
-        per_trial = self.estimands_by_trial(canonical(endpoint_key))
-        return tuple(est.endpoint for ests in per_trial.values() for est in ests)
-
     def treatments(self) -> tuple[str, ...]:
         seen: dict[str, str] = {}
         for trial in self.trials.values():
@@ -344,10 +340,17 @@ def _field(record: Mapping, name: str, default=_REQUIRED):
     return value
 
 
-def _text(record: Mapping, name: str) -> str:
-    value = _field(record, name)
-    if not isinstance(value, str):
+def _text(record: Mapping, name: str, default=_REQUIRED) -> str:
+    value = _field(record, name, default)
+    if not (isinstance(value, str) or value is default):
         raise TypeError(f"field {name!r} must be text, got {value!r}")
+    return value
+
+
+def _names(record: Mapping, name: str, default=_REQUIRED) -> Sequence[str]:
+    value = _field(record, name, default)
+    if not ((isinstance(value, list) and all(isinstance(v, str) for v in value)) or value is default):
+        raise TypeError(f"field {name!r} must be a list of names")
     return value
 
 
@@ -365,6 +368,24 @@ def _handlings(record: Mapping) -> tuple[IntercurrentEventHandling, ...]:
             _text(item, "event_name"), IntercurrentEventStrategy.parse(_text(item, "strategy"))
         )
         for item in items
+    )
+
+
+def _estimand(record: Mapping, treatments: Sequence[str], kind: type = Estimand, **policy) -> Estimand:
+    """An estimand from a record's label, population, endpoint (name, units, timepoint), summary
+    measure and intercurrent-event handlings: evidence estimand records and full plan definitions."""
+    return kind(
+        label=normalize_id(_text(record, "label")),
+        population=_text(record, "population").strip(),
+        treatments=frozenset(treatments),
+        endpoint=EndpointSpec(
+            name=normalize_id(_text(record, "endpoint_name")),
+            units=_text(record, "units").strip(),
+            timepoint_weeks=_integer(_field(record, "timepoint_weeks"), "timepoint_weeks"),
+        ),
+        summary_measure=SummaryMeasure.parse(_text(record, "summary_measure")),
+        ie_handlings=_handlings(record),
+        **policy,
     )
 
 
@@ -408,12 +429,8 @@ class _Builder:
             raise ValueError("trial_id is empty")
         if trial_id in self.trials:
             raise ValueError(f"duplicate trial {trial_id!r}")
-        arms = _field(record, "arms")
-        if not isinstance(arms, list) or not all(isinstance(a, str) for a in arms):
-            raise TypeError("field 'arms' must be a list of treatment names")
-        trial = TrialRecord(
-            trial_id=trial_id, arms=tuple(filter(None, map(normalize_id, arms))), estimands={}
-        )
+        arms = filter(None, map(normalize_id, _names(record, "arms")))
+        trial = TrialRecord(trial_id=trial_id, arms=tuple(arms), estimands={})
         if len(trial.arms) < 2:
             raise ValueError(f"trial {trial_id!r} needs at least two arms")
         if len(set(trial.arm_keys)) != len(trial.arms):
@@ -421,19 +438,9 @@ class _Builder:
         self.trials[trial_id] = trial
 
     def _add_estimand(self, record: Mapping) -> None:
+        """Declare an estimand of a trial: its five attributes as `_estimand` reads them."""
         trial = self._trial_of(record, "estimand")
-        estimand = Estimand(
-            label=normalize_id(_text(record, "label")),
-            population=_text(record, "population").strip(),
-            treatments=frozenset(trial.arms),
-            endpoint=EndpointSpec(
-                name=normalize_id(_text(record, "endpoint_name")),
-                units=_text(record, "units").strip(),
-                timepoint_weeks=_integer(_field(record, "timepoint_weeks"), "timepoint_weeks"),
-            ),
-            summary_measure=SummaryMeasure.parse(_text(record, "summary_measure")),
-            ie_handlings=_handlings(record),
-        )
+        estimand = _estimand(record, trial.arms)
         key = (estimand.label_key, estimand.endpoint.key)
         if key in trial.estimands:
             raise ValueError(
@@ -581,22 +588,33 @@ def _csv_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
         yield section, record, locator
 
 
-def _json_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
-    """Tokenize a JSON document into (section, record, locator) triples, one per array element."""
+def _json_object(stream: IO[str], locator: str | None = None) -> dict:
+    """A JSON document whose top level is an object."""
     try:
         doc = json.load(stream)
     except json.JSONDecodeError as exc:
-        raise EvidenceFormatError(f"invalid JSON: {exc}") from None
+        raise EvidenceFormatError(f"invalid JSON: {exc}", locator=locator) from None
     if not isinstance(doc, dict):
-        raise EvidenceFormatError("top level must be an object")
+        raise EvidenceFormatError("top level must be an object", locator=locator)
+    return doc
+
+
+def _objects(doc: Mapping, section: str, locator: str | None = None) -> Iterator[tuple[dict, str]]:
+    """The records of a JSON array field (absent: none), each with its locator `section[i]`."""
+    records = doc.get(section, [])
+    if not isinstance(records, list):
+        raise EvidenceFormatError(f"section {section!r} must be an array", locator=locator)
+    for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise EvidenceFormatError("record must be an object", locator=f"{section}[{i}]")
+        yield record, f"{section}[{i}]"
+
+
+def _json_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
+    """Tokenize a JSON document into (section, record, locator) triples, one per array element."""
+    doc = _json_object(stream)
     for section in _SECTION_FIELDS:
-        records = doc.get(section, [])
-        if not isinstance(records, list):
-            raise EvidenceFormatError(f"section {section!r} must be an array")
-        for i, record in enumerate(records):
-            locator = f"{section}[{i}]"
-            if not isinstance(record, dict):
-                raise EvidenceFormatError("record must be an object", locator=locator)
+        for record, locator in _objects(doc, section):
             yield section, record, locator
 
 
@@ -774,7 +792,7 @@ def validate_evidence(base: EvidenceBase) -> list[Issue]:
             )
 
     for key in base.endpoint_keys():
-        timepoints = sorted({spec.timepoint_weeks for spec in base.endpoint_specs(key)})
+        timepoints = sorted({e.endpoint.timepoint_weeks for ests in base.estimands_by_trial(key).values() for e in ests})
         if len(timepoints) > 1:
             listed = ", ".join(str(t) for t in timepoints)
             issues.append(Issue("warning", f"endpoint timepoints differ for {key}: {listed}"))

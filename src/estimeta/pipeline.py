@@ -12,7 +12,6 @@ blocks that feasibility built.
 from __future__ import annotations
 
 import enum
-import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import permutations
@@ -40,11 +39,11 @@ from .estimands import (
     MatchingMode,
     MatchVerdict,
     MetaEstimand,
-    SummaryMeasure,
     canonical,
     matches_meta,
 )
 from .ingest import ContrastEstimate, EvidenceBase
+from .ingest import _estimand, _field, _integer, _json_object, _located, _names, _number, _objects, _text
 from .network import EvidenceNetwork, build_network, connected_components, is_connected
 
 _WARNING_CODES = {
@@ -459,7 +458,7 @@ def synthesize_meta(
     timepoint = max(t for t, n in timepoints.items() if n == top)
     units = _modal(e.endpoint.units for e in all_estimands)
     name = all_estimands[0].endpoint.name
-    summary = _modal_value(Counter(e.summary_measure for e in all_estimands))
+    summary = _modal((e.summary_measure for e in all_estimands), key=lambda v: v.value)
     treatments = frozenset(arm for tid in per_trial for arm in base.trials[tid].arms)
 
     return MetaEstimand(
@@ -476,15 +475,11 @@ def synthesize_meta(
     )
 
 
-def _modal(values) -> str:
+def _modal(values, key=None):
+    """The most frequent value; ties go to the least (by `key`)."""
     counts = Counter(values)
     top = max(counts.values())
-    return sorted(v for v, n in counts.items() if n == top)[0]
-
-
-def _modal_value(counts: Counter):
-    top = max(counts.values())
-    return sorted((v for v, n in counts.items() if n == top), key=lambda v: v.value)[0]
+    return min((v for v, n in counts.items() if n == top), key=key)
 
 
 def resolve_meta(
@@ -540,60 +535,43 @@ class AnalysisConfig:
 
 
 def load_config(source: str | Path | dict, base: EvidenceBase) -> AnalysisConfig:
-    """Load an analysis config; shorthand entries carrying only a strategy are
-    synthesized against the evidence base for every configured endpoint."""
+    """Load an analysis plan from a JSON file or its parsed document.
+
+    A `meta_estimands` record that gives `strategy` is a shorthand, synthesized against
+    the evidence base for every configured endpoint; any other record is a full
+    definition, read as an evidence file's estimand record is, plus `treatments`.
+    Every fault in the plan is an EvidenceFormatError at `meta_estimands[i]` or `config`.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = _json_object(handle, "config")
     else:
         doc = source
-    endpoints = tuple(canonical(e) for e in doc.get("endpoints", base.endpoint_keys()))
+    with _located("config"):
+        endpoints = tuple(map(canonical, _names(doc, "endpoints", base.endpoint_keys())))
     metas: list[MetaEstimand] = []
-    for record in doc.get("meta_estimands", []):
-        label = record.get("label")
-        tolerance = int(record.get("timepoint_tolerance_weeks", 4))
-        mode = MatchingMode(record.get("matching_mode", "lenient"))
-        if "ie_handlings" in record:
-            handlings = tuple(
-                IntercurrentEventHandling(
-                    h["event_name"], IntercurrentEventStrategy.parse(h["strategy"])
-                )
-                for h in record["ie_handlings"]
-            )
-            metas.append(
-                MetaEstimand(
-                    label=label,
-                    population=record.get("population", ""),
-                    treatments=frozenset(record["treatments"]),
-                    endpoint=EndpointSpec(
-                        name=record["endpoint_name"],
-                        units=record["units"],
-                        timepoint_weeks=int(record["timepoint_weeks"]),
-                    ),
-                    summary_measure=SummaryMeasure.parse(
-                        record.get("summary_measure", "mean_difference")
-                    ),
-                    ie_handlings=handlings,
-                    timepoint_tolerance_weeks=tolerance,
-                    matching_mode=mode,
-                )
-            )
-        else:
-            strategy = IntercurrentEventStrategy.parse(record["strategy"])
-            for endpoint in endpoints:
-                metas.append(
-                    synthesize_meta(
-                        base,
-                        endpoint,
-                        strategy,
-                        label=label or strategy.value,
-                        tolerance_weeks=tolerance,
-                        mode=mode,
-                    )
-                )
-    return AnalysisConfig(
-        meta_estimands=tuple(metas),
-        endpoints=endpoints,
-        reference=doc.get("reference"),
-        ci_level=float(doc.get("ci_level", 0.95)),
-    )
+    for record, locator in _objects(doc, "meta_estimands", "config"):
+        with _located(locator):
+            tolerance = _integer(_field(record, "timepoint_tolerance_weeks", 4), "timepoint_tolerance_weeks")
+            mode = MatchingMode(_text(record, "matching_mode", "lenient"))
+            if _field(record, "strategy", None) is None:
+                policy = dict(timepoint_tolerance_weeks=tolerance, matching_mode=mode)
+                metas.append(_estimand(record, _names(record, "treatments"), MetaEstimand, **policy))
+                continue
+            if _field(record, "ie_handlings", None) is not None:
+                raise ValueError("a record gives both 'strategy' (shorthand) and 'ie_handlings' (full definition)")
+            if tolerance < 0:
+                raise ValueError("timepoint tolerance must be nonnegative")
+            strategy = IntercurrentEventStrategy.parse(_text(record, "strategy"))
+            label = _text(record, "label", None) or strategy.value
+        metas.extend(  # outside _located: evidence that cannot satisfy a shorthand is no fault of the plan
+            synthesize_meta(base, endpoint, strategy, label=label, tolerance_weeks=tolerance, mode=mode)
+            for endpoint in endpoints
+        )
+    with _located("config"):
+        return AnalysisConfig(
+            meta_estimands=tuple(metas),
+            endpoints=endpoints,
+            reference=_text(doc, "reference", None),
+            ci_level=_number(_field(doc, "ci_level", 0.95), "ci_level"),
+        )

@@ -34,6 +34,25 @@ DULA_30 = "dulaglutide 3.0 mg QW"
 DULA_45 = "dulaglutide 4.5 mg QW"
 
 
+# T1 reports B-A under two admissible estimands of one endpoint; T2 connects C
+TWO_ESTIMANDS_CSV = """\
+#trials
+trial_id,arms
+T1,A;B
+T2,A;C
+#estimands
+trial_id,label,population,endpoint_name,units,timepoint_weeks,summary_measure,ie_handlings
+T1,primary,adults,outcome,u,12,mean_difference,discontinuation:hypothetical
+T1,secondary,adults,outcome,u,12,mean_difference,discontinuation:hypothetical
+T2,primary,adults,outcome,u,12,mean_difference,discontinuation:hypothetical
+#contrasts
+trial_id,estimand_label,endpoint_name,treatment,comparator,md,se,ci_lower,ci_upper,ci_level
+T1,primary,outcome,B,A,1.0,0.2,,,
+T1,secondary,outcome,B,A,1.2,0.25,,,
+T2,primary,outcome,C,A,0.5,0.3,,,
+"""
+
+
 @pytest.fixture(scope="session")
 def case_base() -> EvidenceBase:
     return em.parse_evidence(em.case_study_path())

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import estimeta as em
+from conftest import TWO_ESTIMANDS_CSV
 from estimeta.cli import main
 from estimeta.ingest import EvidenceBase, serialize_evidence
 
@@ -156,6 +157,13 @@ class TestAnalyze:
         assert "semaglutide 2.0 mg QW" not in out.out
         assert "3 contrasts used, 13 excluded" in out.err
 
+    def test_contrasts_under_several_estimands_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "two_estimands.csv"
+        path.write_text(TWO_ESTIMANDS_CSV, encoding="utf-8")
+        assert main(["analyze", "--input", str(path), "--estimand", "hypothetical"]) == 3
+        err = capsys.readouterr().err
+        assert "covariance_unidentifiable: trial 'T1' contributes contrasts under several estimands" in err
+
     def test_config_file(self, tmp_path, capsys):
         config = tmp_path / "plan.json"
         config.write_text(
@@ -175,6 +183,56 @@ class TestAnalyze:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ci_level"] == 0.9
+
+
+_FULL = {
+    "label": "custom",
+    "population": "adults",
+    "treatments": ["semaglutide 2.0 mg QW", "dulaglutide 3.0 mg QW"],
+    "endpoint_name": "change from baseline in HbA1c",
+    "units": "%-points",
+    "timepoint_weeks": 40,
+    "summary_measure": "mean_difference",
+    "ie_handlings": [{"event_name": "premature treatment discontinuation", "strategy": "hypothetical"}],
+}
+_SHORTHAND = {"label": "hypothetical", "strategy": "hypothetical"}
+
+
+class TestPlanFileFaults:
+    """Every fault in a plan file is a data error at its place, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "plan, where",
+        [
+            ({"meta_estimands": [{k: v for k, v in _FULL.items() if k != "units"}]}, "meta_estimands[0]"),
+            ({"meta_estimands": [{k: v for k, v in _FULL.items() if k != "label"}]}, "meta_estimands[0]"),
+            ({"meta_estimands": [{**_FULL, "ie_handlings": ["x"]}]}, "meta_estimands[0]"),
+            ({"meta_estimands": _SHORTHAND}, "config"),
+            ([1, 2], "config"),
+            ({"meta_estimands": [{**_SHORTHAND, "timepoint_tolerance_weeks": 4.9}]}, "meta_estimands[0]"),
+            ({"meta_estimands": [_SHORTHAND], "endpoints": "change from baseline in hba1c"}, "config"),
+            ("{not json", "config"),
+        ],
+        ids=["no-units", "no-label", "handling-not-object", "estimands-object", "top-level-list",
+             "fractional-tolerance", "endpoints-string", "invalid-json"],
+    )
+    def test_data_error_at_its_place(self, plan, where, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(plan if isinstance(plan, str) else json.dumps(plan), encoding="utf-8")
+        code = main(["analyze", "--input", CASE, "--estimand", "hypothetical", "--endpoint", "hba1c",
+                     "--config", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {where}: ")
+        assert err.count("\n") == 1
+
+    def test_unsatisfiable_shorthand_stays_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"meta_estimands": [{"strategy": "composite"}]}), encoding="utf-8")
+        code = main(["analyze", "--input", CASE, "--estimand", "hypothetical", "--endpoint", "hba1c",
+                     "--config", str(path)])
+        assert code == 1
+        assert "no intercurrent event is handled by composite" in capsys.readouterr().err
 
 
 class TestOutputDeterminism:
@@ -213,6 +271,18 @@ class TestCompare:
         sema_rows = [r for r in rows if r.startswith("semaglutide 2.0 mg QW")]
         assert sema_rows and all(r.rstrip().endswith("yes") for r in sema_rows)
 
+    def test_reports_each_slice_on_stderr(self, capsys):
+        code = main(
+            ["compare", "--input", CASE, "--estimands", "hypothetical", "treatment_policy",
+             "--endpoint", "body weight"]
+        )
+        assert code == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if "contrasts used" in line]
+        assert lines == [
+            "change from baseline in body weight / hypothetical: 4 contrasts used, 12 excluded",
+            "change from baseline in body weight / treatment_policy: 4 contrasts used, 12 excluded",
+        ]
+
     def test_json_payload(self, capsys):
         code = main(
             ["compare", "--input", CASE, "--estimands", "hypothetical", "treatment_policy",
@@ -247,6 +317,13 @@ class TestHelp:
                      "--format", "--strict", "--lenient", "--tolerance", "--force",
                      "--config", "--output"):
             assert flag in text
+
+    def test_compare_help_explains_shared_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["compare", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "confidence level (default: 0.95)" in text
+        assert "downgrade recoverable feasibility errors to warnings" in text
 
 
 class TestJsonInput:

@@ -1,0 +1,145 @@
+"""Whole-file differential test: evidence text in, `analyze --format json` out, against dense GLS.
+
+The generator writes CSV or JSON evidence with two- and three-arm trials whose
+contrast SEs are reported, derived from a confidence interval, or derived from
+the arms.  The oracle builds y, X and the dense covariance from the generator's
+own records, so the parser, the restriction, the covariance blocks and the
+renderer are all checked together.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import tempfile
+from pathlib import Path
+from statistics import NormalDist
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import gls_brute
+from estimeta.cli import main
+
+_ESTIMAND = {
+    "label": "primary",
+    "population": "adults",
+    "endpoint_name": "outcome",
+    "units": "u",
+    "timepoint_weeks": 12,
+    "summary_measure": "mean_difference",
+    "ie_handlings": [{"event_name": "discontinuation", "strategy": "hypothetical"}],
+}
+_ROW = {"trial_id": None, "estimand_label": "primary", "endpoint_name": "outcome"}
+_CONTRAST_FIELDS = ["trial_id", "estimand_label", "endpoint_name", "treatment", "comparator",
+                    "md", "se", "ci_lower", "ci_upper", "ci_level"]
+_ARM_FIELDS = ["trial_id", "estimand_label", "endpoint_name", "treatment", "n",
+               "mean_change", "ci_lower", "ci_upper", "ci_level"]
+
+
+def _z(level: float) -> float:
+    return NormalDist().inv_cdf((1.0 + level) / 2.0)
+
+
+@st.composite
+def evidence(draw):
+    """(evidence document, oracle trials): each oracle trial is (arms, mds, its covariance block)."""
+    names = [f"T{i}" for i in range(draw(st.integers(2, 5)))]
+    trials = [names[i : i + 2] for i in range(len(names) - 1)]  # a spanning chain keeps it connected
+    trials += draw(st.lists(st.lists(st.sampled_from(names), min_size=2, max_size=3, unique=True), max_size=4))
+    doc: dict = {"trials": [], "estimands": [], "contrasts": [], "arms": []}
+    oracle = []
+    for j, arms in enumerate(trials):
+        tid = f"S{j}"
+        variances = [draw(st.floats(0.01, 2.0)) for _ in arms]
+        doc["trials"].append({"trial_id": tid, "arms": arms})
+        doc["estimands"].append({"trial_id": tid, **_ESTIMAND})
+        mds, ses, with_arms = [], [], len(arms) == 3  # a multi-arm block needs every arm's variance
+        for k in range(1, len(arms)):
+            md, source = draw(st.floats(-5.0, 5.0)), draw(st.sampled_from(["se", "ci", "arms"]))
+            # two-arm trials may report an SE of their own; a multi-arm one agrees with its arms
+            se = math.sqrt(variances[0] + variances[k]) if with_arms or source == "arms" else draw(st.floats(0.05, 1.5))
+            row = {**_ROW, "trial_id": tid, "treatment": arms[k], "comparator": arms[0], "md": md}
+            if source == "se":
+                row["se"] = se
+            elif source == "ci":
+                level = draw(st.sampled_from([None, 0.9, 0.95, 0.99]))
+                half = _z(level or 0.95) * se
+                row.update(ci_lower=md - half, ci_upper=md + half, ci_level=level)
+            with_arms = with_arms or source == "arms"
+            doc["contrasts"].append(row)
+            mds.append(md)
+            ses.append(se)
+        if with_arms:
+            for arm, variance in zip(arms, variances):
+                half = _z(0.95) * math.sqrt(variance)
+                doc["arms"].append({**_ROW, "trial_id": tid, "treatment": arm, "n": 100,
+                                    "mean_change": 0.0, "ci_lower": -half, "ci_upper": half})
+        if len(arms) == 3:  # diagonal v_k + v_0, off-diagonal the shared comparator's v_0
+            block = np.full((2, 2), variances[0]) + np.diag(variances[1:])
+        else:
+            block = np.array([[ses[0] ** 2]])
+        oracle.append((arms, mds, block))
+    return doc, oracle
+
+
+def _csv(doc: dict) -> str:
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, list):
+            return ";".join(value if all(isinstance(v, str) for v in value) else
+                            [f"{h['event_name']}:{h['strategy']}" for h in value])
+        return value if isinstance(value, str) else repr(value)
+
+    sections = {
+        "trials": ["trial_id", "arms"],
+        "estimands": ["trial_id", *_ESTIMAND],
+        "contrasts": _CONTRAST_FIELDS,
+        "arms": _ARM_FIELDS,
+    }
+    lines = []
+    for section, fields in sections.items():
+        lines += [f"#{section}", ",".join(fields)]
+        lines += [",".join(cell(record.get(f)) for f in fields) for record in doc[section]]
+    return "\n".join(lines) + "\n"
+
+
+class TestWholeFileDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(evidence(), st.sampled_from(["csv", "json"]))
+    def test_analyze_json_matches_dense_gls(self, case, fmt):
+        doc, oracle = case
+        with tempfile.TemporaryDirectory() as tmp:
+            source, output = Path(tmp) / f"evidence.{fmt}", Path(tmp) / "result.json"
+            source.write_text(json.dumps(doc) if fmt == "json" else _csv(doc), encoding="utf-8")
+            code = main(["analyze", "--input", str(source), "--estimand", "hypothetical",
+                         "--reference", "T0", "--format", "json", "--output", str(output)])
+            assert code == 0
+            payload = json.loads(output.read_text(encoding="utf-8"))
+
+        parameters = list(payload["basic_estimates"])
+        column = {name: j for j, name in enumerate(parameters)}
+        rows, y, blocks = [], [], []
+        for arms, mds, block in oracle:
+            for k, md in enumerate(mds, start=1):
+                row = np.zeros(len(parameters))
+                for arm, sign in ((arms[k], 1.0), (arms[0], -1.0)):
+                    if arm in column:  # the reference T0 has no column
+                        row[column[arm]] = sign
+                rows.append(row)
+                y.append(md)
+            blocks.append(block)
+        sigma = np.zeros((len(y), len(y)))
+        start = 0
+        for block in blocks:
+            sigma[start : start + len(block), start : start + len(block)] = block
+            start += len(block)
+        theta, cov = gls_brute(np.array(y), np.array(rows), sigma)
+
+        assert payload["reference"] == "T0"
+        assert sorted(parameters) == sorted({arm for arms, _, _ in oracle for arm in arms} - {"T0"})
+        # criterion 4's tolerances
+        np.testing.assert_allclose(list(payload["basic_estimates"].values()), theta, rtol=1e-8, atol=1e-11)
+        np.testing.assert_allclose(payload["covariance"], cov, rtol=1e-8, atol=1e-11)

@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DULA_30, DULA_45, HBA1C, SEMA_2, WEIGHT, random_connected_base, synthetic_base
+from conftest import (
+    DULA_30,
+    DULA_45,
+    HBA1C,
+    SEMA_2,
+    TWO_ESTIMANDS_CSV,
+    WEIGHT,
+    random_connected_base,
+    synthetic_base,
+)
 from estimeta import engine, estimands, network, pipeline
 from estimeta.engine import CovarianceError, comparison
 from estimeta.estimands import (
@@ -21,7 +30,14 @@ from estimeta.estimands import (
     MetaEstimand,
     SummaryMeasure,
 )
-from estimeta.ingest import ContrastEstimate, EvidenceBase, UncertaintySource
+from estimeta.ingest import (
+    ContrastEstimate,
+    EvidenceBase,
+    EvidenceFormatError,
+    UncertaintySource,
+    evidence_to_dict,
+    parse_evidence_text,
+)
 from estimeta.pipeline import (
     AnalysisConfig,
     FeasibilityVerdict,
@@ -244,14 +260,7 @@ class TestRunAnalysis:
         assert len(calls) == 3
 
     def test_force_still_refuses_a_built_singular_block(self):
-        # B-A, C-A and C-B of one three-arm trial: the block built from the arms is singular
-        variances = [0.25, 0.5, 1.0]
-        base = synthetic_base([("T1", ["A", "B", "C"], variances, [1.0, 0.5])])
-        third = ContrastEstimate(
-            trial_id="T1", treatment="C", comparator="B", endpoint="outcome", estimand_label="primary",
-            md=-0.5, se=math.sqrt(variances[1] + variances[2]), source=UncertaintySource.FROM_ARMS,
-        )
-        base = dataclasses.replace(base, contrasts=base.contrasts + (third,))
+        base = triangle_base([0.25, 0.5, 1.0])
         meta = synthesize_meta(base, "outcome", HYP)
         report = feasibility_report(base, meta, "outcome")
         assert [r.code for r in report.reasons] == ["covariance_unidentifiable"]
@@ -261,6 +270,56 @@ class TestRunAnalysis:
     def test_reference_override(self, case_base, hyp_meta):
         result = run_analysis(case_base, hyp_meta, HBA1C, reference=SEMA_2)
         assert result.reference == SEMA_2
+
+
+def triangle_base(variances) -> EvidenceBase:
+    """One three-arm trial reporting B-A, C-A and C-B: linearly dependent contrasts,
+    so the block built from the arm variances is singular."""
+    base = synthetic_base([("T1", ["A", "B", "C"], list(variances), [1.0, 0.5])])
+    third = ContrastEstimate(
+        trial_id="T1", treatment="C", comparator="B", endpoint="outcome", estimand_label="primary",
+        md=-0.5, se=math.sqrt(variances[1] + variances[2]), source=UncertaintySource.FROM_ARMS,
+    )
+    return dataclasses.replace(base, contrasts=base.contrasts + (third,))
+
+
+def verdict_of(base: EvidenceBase) -> tuple[FeasibilityVerdict, list[str]]:
+    report = feasibility_report(base, synthesize_meta(base, "outcome", HYP), "outcome")
+    return report.verdict, [r.code for r in report.reasons]
+
+
+class TestIdentifiability:
+    """A trial's contrasts are linearly independent exactly when they form a forest over its arms."""
+
+    @pytest.mark.parametrize("variances", [(0.25, 0.5, 1.0), (0.1, 0.2, 0.3), (0.01, 0.02, 0.03)])
+    def test_dependent_contrasts_unidentifiable(self, variances):
+        # rounding leaves the smallest eigenvalue of the 0.01/0.02/0.03 block positive
+        base = triangle_base(variances)
+        assert verdict_of(base) == (FeasibilityVerdict.INFEASIBLE, ["covariance_unidentifiable"])
+        with pytest.raises(InfeasibleAnalysisError, match="linearly dependent"):
+            run_analysis(base, synthesize_meta(base, "outcome", HYP), "outcome")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(1e-6, 1e6), min_size=3, max_size=3))
+    def test_dependent_contrasts_unidentifiable_for_any_variances(self, variances):
+        assert verdict_of(triangle_base(variances)) == (
+            FeasibilityVerdict.INFEASIBLE, ["covariance_unidentifiable"]
+        )
+
+    def test_numerically_singular_star_stays_unidentifiable(self):
+        # B-A and C-A are independent, but 1e20 + 1 rounds to 1e20: the eigenvalue guard refuses it
+        base = synthetic_base([("T1", ["A", "B", "C"], [1e20, 1e-20, 1.0], [1.0, 0.5])])
+        assert verdict_of(base) == (FeasibilityVerdict.INFEASIBLE, ["covariance_unidentifiable"])
+
+    def test_contrasts_under_several_estimands_unidentifiable(self):
+        base = parse_evidence_text(TWO_ESTIMANDS_CSV)
+        report = feasibility_report(base, synthesize_meta(base, "outcome", HYP), "outcome")
+        assert report.verdict is FeasibilityVerdict.INFEASIBLE
+        (reason,) = report.reasons
+        assert reason.code == "covariance_unidentifiable"
+        assert reason.message == (
+            "trial 'T1' contributes contrasts under several estimands: ['primary', 'secondary']"
+        )
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +472,33 @@ class TestConfig:
         meta = config.meta_for("custom", HBA1C)
         assert meta.timepoint_tolerance_weeks == 0
         assert meta.matching_mode is MatchingMode.STRICT
+
+    def test_full_definition_reads_as_the_evidence_estimand(self, case_base):
+        # each case-study estimand record, plus its trial's arms, read back as a plan definition
+        records = evidence_to_dict(case_base)["estimands"]
+        for record in records:
+            trial = case_base.trials[record["trial_id"]]
+            config = load_config(
+                {"meta_estimands": [{**record, "treatments": list(trial.arms)}]}, case_base
+            )
+            (meta,) = config.meta_estimands
+            est = trial.estimand_for(record["label"], record["endpoint_name"])
+            assert (meta.label, meta.population, meta.endpoint) == (est.label, est.population, est.endpoint)
+            assert (meta.summary_measure, meta.ie_handlings) == (est.summary_measure, est.ie_handlings)
+            assert meta.treatments == est.treatments
+        assert len(records) == 12
+
+    @pytest.mark.parametrize("missing", ["population", "summary_measure"])
+    def test_full_definition_needs_every_attribute(self, case_base, missing):
+        record = {**evidence_to_dict(case_base)["estimands"][0], "treatments": ["a", "b"]}
+        del record[missing]
+        with pytest.raises(EvidenceFormatError, match=rf"meta_estimands\[0\]: missing field '{missing}'"):
+            load_config({"meta_estimands": [record]}, case_base)
+
+    def test_shorthand_with_handlings_rejected(self, case_base):
+        doc = {"meta_estimands": [{"strategy": "hypothetical", "ie_handlings": []}]}
+        with pytest.raises(EvidenceFormatError, match=r"meta_estimands\[0\]: .*both 'strategy'"):
+            load_config(doc, case_base)
 
     def test_resolve_meta_prefers_config(self, case_base):
         config = load_config(
