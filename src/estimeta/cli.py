@@ -67,10 +67,11 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, *formats: str) -> None:
         p.add_argument("--input", required=True, help="evidence file (.csv or .json)")
-        p.add_argument("--format", choices=["text", "csv", "json"], default="text",
-                       help="output format (default: text)")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text",
+                           help="output format (default: text)")
         p.add_argument("--output", default=None, help="write data output to a file")
 
     def slicing(p: argparse.ArgumentParser) -> None:
@@ -94,7 +95,7 @@ def build_parser() -> _Parser:
                        help="downgrade recoverable feasibility errors to warnings")
 
     p = sub.add_parser("validate", help="parse an evidence file and report issues")
-    common(p)
+    common(p, "text", "json")
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("network", help="export the evidence graph and check connectivity")
@@ -105,7 +106,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_network)
 
     p = sub.add_parser("analyze", help="run one network meta-analysis slice")
-    common(p)
+    common(p, "text", "csv", "json")
     slicing(p)
     p.add_argument("--estimand", required=True,
                    help="meta-estimand label (configured) or strategy token")
@@ -113,7 +114,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("compare", help="compare two meta-estimand strategies side by side")
-    common(p)
+    common(p, "text", "csv", "json")
     slicing(p)
     p.add_argument("--estimands", nargs=2, required=True, metavar=("FIRST", "SECOND"),
                    help="two meta-estimand labels or strategy tokens")
@@ -278,8 +279,7 @@ def _cmd_network(args) -> int:
         if len(endpoints) > 1:
             chunks.append(f"#endpoint,{key}\n")
         chunks.append(export_edge_list(net))
-        parts = connected_components(net)
-        status = "connected" if connected else f"disconnected ({len(parts)} components)"
+        status = "connected" if connected else f"disconnected ({len(connected_components(net))} components)"
         print(f"{key}: {len(net.nodes)} treatments, {len(net.edges)} comparisons, {status}",
               file=sys.stderr)
     _emit("".join(chunks), args.output)

@@ -138,25 +138,22 @@ def assemble_gls(
     """
     if not is_connected(net):
         raise DisconnectedNetworkError("evidence network is disconnected")
-    system = _gls_system(net, reference, ())  # reference and slice checked before any block
-    blocks = trial_blocks(net.contrasts, base, independence_fallback=independence_fallback)
+    system = _gls_system(net, reference, ())  # reference checked before any block
+    blocks = trial_blocks(net.edges, base, independence_fallback=independence_fallback)
     return replace(system, blocks=tuple(blocks))
 
 
 def _gls_system(net: EvidenceNetwork, reference: str, blocks: Sequence[np.ndarray]) -> GlsSystem:
     """y and X of a connected network slice, over its per-trial covariance blocks."""
     ref_idx = net.node_index(reference)
-    contrasts = net.contrasts
-    if len(contrasts) != len(net.edges):
-        raise EngineError("network does not carry its contrast slice")
     return GlsSystem(
-        y=np.array([c.md for c in contrasts]),
+        y=np.array([c.md for c in net.edges]),
         design=np.delete(incidence(net), ref_idx, axis=1),
         blocks=tuple(blocks),
         reference=net.nodes[ref_idx],
         treatments=net.nodes,
         parameters=net.nodes[:ref_idx] + net.nodes[ref_idx + 1 :],
-        contrasts=contrasts,
+        contrasts=net.edges,
     )
 
 

@@ -1,10 +1,11 @@
 """Evidence-network graph for one (endpoint, estimand) slice.
 
-Treatments are nodes; every contrast contributes one edge (parallel edges
-are kept, since each carries independent evidence).  One signed incidence
-matrix (edges x nodes) underlies the weighted Laplacian, the rank check and
-the engine's GLS design.  Connectivity is decided once per network, twice
-over -- by breadth-first traversal and by the rank of the
+Treatments are nodes; the slice's contrasts are the edges, weighted 1/se^2,
+their node indices read off their own treatment and comparator keys (parallel
+edges are kept, since each carries independent evidence).  One signed
+incidence matrix (edges x nodes) underlies the weighted Laplacian, the rank
+check and the engine's GLS design.  Connectivity is decided once per network,
+twice over -- by breadth-first traversal and by the rank of the
 inverse-variance-weighted Laplacian, taken as the rank of its square root,
 the sqrt-weight-scaled incidence matrix -- and the two answers must agree.
 """
@@ -33,43 +34,26 @@ class ConnectivityCheckError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Edge:
-    trial_id: str
-    treatment: str
-    comparator: str
-    weight: float  # 1 / se^2
-
-
-@dataclass(frozen=True)
 class EvidenceNetwork:
     nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    trial_designs: Mapping[str, frozenset[str]]
-    contrasts: tuple[ContrastEstimate, ...] = ()
+    edges: tuple[ContrastEstimate, ...]  # in (trial id, treatment key, comparator key) order
     # canonical node -> index, and the (treatment, comparator) node indices of each edge
     index: Mapping[str, int] = field(init=False, repr=False, compare=False)
     ends: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "index", {canonical(node): i for i, node in enumerate(self.nodes)})
-        ends = tuple((self.node_index(e.treatment), self.node_index(e.comparator)) for e in self.edges)
+        ends = tuple((self._lookup(e.treatment_key, e.treatment), self._lookup(e.comparator_key, e.comparator))
+                     for e in self.edges)
         object.__setattr__(self, "ends", ends)
 
     def node_index(self, treatment: str) -> int:
-        i = self.index.get(canonical(treatment))
-        if i is None:
+        return self._lookup(canonical(treatment), treatment)
+
+    def _lookup(self, key: str, treatment: str) -> int:
+        if (i := self.index.get(key)) is None:
             raise NetworkError(f"unknown treatment {treatment!r}")
         return i
-
-    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        """node index -> [(neighbour index, edge index)] in deterministic order."""
-        adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(self.nodes))}
-        for e_idx, (u, v) in enumerate(self.ends):
-            adj[u].append((v, e_idx))
-            adj[v].append((u, e_idx))
-        for entries in adj.values():
-            entries.sort()
-        return adj
 
     @cached_property
     def connected(self) -> bool:
@@ -94,27 +78,16 @@ def build_network(contrasts: Sequence[ContrastEstimate]) -> EvidenceNetwork:
     if len(endpoints) > 1:
         raise NetworkError(f"contrasts mix endpoints: {sorted(endpoints)}")
 
-    ordered = sorted(
-        range(len(contrasts)),
-        key=lambda i: (contrasts[i].trial_id, contrasts[i].treatment_key, contrasts[i].comparator_key),
-    )
+    edges = sorted(contrasts, key=lambda c: (c.trial_id, c.treatment_key, c.comparator_key))
     nodes: dict[str, str] = {}  # canonical -> display, insertion ordered
-    edges: list[Edge] = []
-    designs: dict[str, set[str]] = {}
-    for i in ordered:
-        c = contrasts[i]
+    for c in edges:
         nodes.setdefault(c.treatment_key, c.treatment)
         nodes.setdefault(c.comparator_key, c.comparator)
-        edges.append(
-            Edge(trial_id=c.trial_id, treatment=c.treatment, comparator=c.comparator, weight=1.0 / c.se**2)
-        )
-        designs.setdefault(c.trial_id, set()).update({c.treatment, c.comparator})
-    return EvidenceNetwork(
-        nodes=tuple(nodes.values()),
-        edges=tuple(edges),
-        trial_designs={tid: frozenset(arms) for tid, arms in sorted(designs.items())},
-        contrasts=tuple(contrasts[i] for i in ordered),
-    )
+    return EvidenceNetwork(nodes=tuple(nodes.values()), edges=tuple(edges))
+
+
+def _weight(edge: ContrastEstimate) -> float:
+    return 1.0 / edge.se**2
 
 
 def incidence(net: EvidenceNetwork) -> np.ndarray:
@@ -128,7 +101,7 @@ def incidence(net: EvidenceNetwork) -> np.ndarray:
 def laplacian(net: EvidenceNetwork) -> np.ndarray:
     """Weighted graph Laplacian B'WB, edge weights 1/se^2."""
     b = incidence(net)
-    weights = np.array([e.weight for e in net.edges])
+    weights = np.array([_weight(e) for e in net.edges])
     return b.T @ (weights[:, None] * b)
 
 
@@ -142,28 +115,45 @@ def laplacian_connected(net: EvidenceNetwork) -> bool:
     n = len(net.nodes)
     if n <= 1:
         return True
-    roots = np.sqrt([e.weight for e in net.edges])
+    roots = np.sqrt([_weight(e) for e in net.edges])
     return int(np.linalg.matrix_rank(roots[:, None] * incidence(net))) == n - 1
 
 
+def _adjacency(net: EvidenceNetwork) -> list[list[tuple[int, int]]]:
+    """node index -> [(neighbour index, edge index)], in node order, parallel edges by index."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
+    for e_idx, (u, v) in enumerate(net.ends):
+        adjacency[u].append((v, e_idx))
+        adjacency[v].append((u, e_idx))
+    for entries in adjacency:
+        entries.sort()
+    return adjacency
+
+
+def _breadth_first(adjacency: list, start: int, goal: Optional[int] = None) -> dict:
+    """node -> (parent node, edge index) for every node reached from `start` (None there),
+    visiting neighbours in adjacency order; stops once it takes `goal` off the queue."""
+    previous: dict[int, Optional[tuple[int, int]]] = {start: None}
+    queue: deque[int] = deque([start])
+    while queue:
+        node = queue.popleft()
+        if node == goal:
+            break
+        for neighbour, e_idx in adjacency[node]:
+            if neighbour not in previous:
+                previous[neighbour] = (node, e_idx)
+                queue.append(neighbour)
+    return previous
+
+
 def connected_components(net: EvidenceNetwork) -> tuple[tuple[str, ...], ...]:
-    """Partition of nodes into components, both deterministically ordered."""
-    adj = net.adjacency()
-    unvisited = dict.fromkeys(range(len(net.nodes)))
-    components: list[tuple[str, ...]] = []
-    while unvisited:
-        start = next(iter(unvisited))
-        queue: deque[int] = deque([start])
-        del unvisited[start]
-        members = [start]
-        while queue:
-            node = queue.popleft()
-            for neighbour, _ in adj[node]:
-                if neighbour in unvisited:
-                    del unvisited[neighbour]
-                    members.append(neighbour)
-                    queue.append(neighbour)
-        components.append(tuple(net.nodes[i] for i in sorted(members)))
+    """Partition of nodes into components, ordered by their first node, members in node order."""
+    adjacency, components, reached = _adjacency(net), [], set()
+    for start in range(len(net.nodes)):
+        if start not in reached:
+            members = sorted(_breadth_first(adjacency, start))
+            reached.update(members)
+            components.append(tuple(net.nodes[i] for i in members))
     return tuple(components)
 
 
@@ -177,38 +167,21 @@ def is_connected(net: EvidenceNetwork) -> bool:
     return net.connected
 
 
-def anchoring_path(net: EvidenceNetwork, a: str, b: str) -> Optional[tuple[Edge, ...]]:
-    """Shortest path (by edge count) between two treatments, or None.
+def anchoring_path(net: EvidenceNetwork, a: str, b: str) -> Optional[tuple[ContrastEstimate, ...]]:
+    """Shortest path (by edge count) between two treatments, as its contrasts, or None.
 
     Ties are broken by deterministic node order; between parallel edges the
     lowest-index edge is used.
     """
     start, goal = net.node_index(a), net.node_index(b)
-    if start == goal:
-        return ()
-    adj = net.adjacency()
-    previous: dict[int, tuple[int, int]] = {}  # node -> (parent node, edge index)
-    queue: deque[int] = deque([start])
-    seen = {start}
-    while queue:
-        node = queue.popleft()
-        for neighbour, e_idx in adj[node]:
-            if neighbour in seen:
-                continue
-            seen.add(neighbour)
-            previous[neighbour] = (node, e_idx)
-            if neighbour == goal:
-                queue.clear()
-                break
-            queue.append(neighbour)
+    previous = _breadth_first(_adjacency(net), start, goal)
     if goal not in previous:
         return None
-    path: list[Edge] = []
+    path: list[ContrastEstimate] = []
     node = goal
     while node != start:
-        parent, e_idx = previous[node]
+        node, e_idx = previous[node]
         path.append(net.edges[e_idx])
-        node = parent
     return tuple(reversed(path))
 
 
@@ -217,5 +190,5 @@ def export_edge_list(net: EvidenceNetwork) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     for edge in net.edges:
-        writer.writerow([edge.trial_id, edge.treatment, edge.comparator, repr(edge.weight)])
+        writer.writerow([edge.trial_id, edge.treatment, edge.comparator, repr(_weight(edge))])
     return out.getvalue()

@@ -201,7 +201,7 @@ def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) ->
             )
         else:
             try:
-                blocks = tuple(trial_blocks(net.contrasts, restriction.base))
+                blocks = tuple(trial_blocks(net.edges, restriction.base))
             except CovarianceError as exc:
                 reasons.append(Reason("covariance_unidentifiable", "error", str(exc)))
 
@@ -246,7 +246,8 @@ def run_analysis(
 
     The GLS system is assembled from the blocks the feasibility report kept.
     Force mode downgrades a missing multi-arm covariance to an independence
-    approximation; it cannot rescue an empty or disconnected slice.
+    approximation; it cannot rescue an empty or disconnected slice, nor a
+    trial whose block the fallback cannot build either.
     """
     report = feasibility_report(base, meta, endpoint)
     if report.verdict is FeasibilityVerdict.INFEASIBLE:
@@ -263,8 +264,12 @@ def run_analysis(
     ref = reference if reference is not None else default_reference(net)
     if report.blocks is not None:
         system = _gls_system(net, ref, report.blocks)
-    else:  # forced past an unidentifiable covariance
-        system = assemble_gls(net, report.restriction.base, ref, independence_fallback=True)
+    else:  # forced past an unidentifiable covariance, which the fallback may not cure
+        try:
+            system = assemble_gls(net, report.restriction.base, ref, independence_fallback=True)
+        except CovarianceError as exc:  # feasibility may have given this very reason already
+            reasons = dict.fromkeys((*report.reasons, Reason("covariance_unidentifiable", "error", str(exc))))
+            raise InfeasibleAnalysisError(replace(report, reasons=tuple(reasons))) from None
     result = solve_fixed_effects(system, ci_level)
 
     notes = list(result.notes)

@@ -54,6 +54,10 @@ class TestValidate:
         payload = json.loads(capsys.readouterr().out)
         assert all(issue["severity"] == "warning" for issue in payload["issues"])
 
+    def test_csv_format_rejected(self, capsys):
+        assert main(["validate", "--input", CASE, "--format", "csv"]) == 1
+        assert "usage error" in capsys.readouterr().err
+
 
 class TestNetwork:
     def test_connected_exit_zero(self, capsys):
@@ -77,6 +81,10 @@ class TestNetwork:
     def test_disconnected_exit_three(self, no_s7_file, capsys):
         assert main(["network", "--input", no_s7_file, "--endpoint", "hba1c"]) == 3
         assert "disconnected" in capsys.readouterr().err
+
+    def test_format_rejected(self, capsys):
+        assert main(["network", "--input", CASE, "--endpoint", "hba1c", "--format", "json"]) == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -162,6 +170,14 @@ class TestAnalyze:
         path.write_text(TWO_ESTIMANDS_CSV, encoding="utf-8")
         assert main(["analyze", "--input", str(path), "--estimand", "hypothetical"]) == 3
         err = capsys.readouterr().err
+        assert "covariance_unidentifiable: trial 'T1' contributes contrasts under several estimands" in err
+
+    def test_forced_contrasts_under_several_estimands_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "two_estimands.csv"
+        path.write_text(TWO_ESTIMANDS_CSV, encoding="utf-8")
+        assert main(["analyze", "--input", str(path), "--estimand", "hypothetical", "--force"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: ")
         assert "covariance_unidentifiable: trial 'T1' contributes contrasts under several estimands" in err
 
     def test_config_file(self, tmp_path, capsys):

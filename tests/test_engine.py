@@ -375,9 +375,9 @@ class TestRandomizedProperties:
             for r, edge in enumerate(net.edges):
                 incidence[r, index[edge.treatment]] = 1.0
                 incidence[r, index[edge.comparator]] = -1.0
-                weights[r] = edge.weight
+                weights[r] = 1.0 / edge.se**2
             lap_plus = np.linalg.pinv(incidence.T @ np.diag(weights) @ incidence)
-            y = np.array([c.md for c in net.contrasts])
+            y = np.array([c.md for c in net.edges])
             for a in net.nodes:
                 for b in net.nodes:
                     if a == b:

@@ -12,8 +12,11 @@ from conftest import (
     HBA1C,
     SEMA_1,
     SEMA_2,
+    UnionFind,
     connected_oracle,
+    large_connected_base,
 )
+from estimeta import network
 from estimeta.ingest import ContrastEstimate, UncertaintySource, parse_evidence_text
 from estimeta.network import (
     EvidenceNetwork,
@@ -82,12 +85,31 @@ class TestBuildNetwork:
         ]
         nets = [build_network(order) for order in (contrasts, contrasts[::-1])]
         assert nets[0].nodes == nets[1].nodes
-        key = lambda e: (e.trial_id, e.treatment, e.comparator, e.weight)
+        key = lambda e: (e.trial_id, e.treatment, e.comparator, 1.0 / e.se**2)
         assert [key(e) for e in nets[0].edges] == [key(e) for e in nets[1].edges]
 
     def test_parallel_edges_kept(self):
         net = build_network([contrast("T1", "A", "B"), contrast("T2", "A", "B")])
         assert len(net.edges) == 2
+
+    def test_keys_computed_once_per_node(self, monkeypatch):
+        contrasts = large_connected_base(np.random.default_rng(7), n_nodes=40, n_trials=200).contrasts
+        assert len(contrasts) >= 200
+        calls = []
+        original = network.canonical
+
+        def counted(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(network, "canonical", counted)
+        net = build_network(contrasts)
+        assert is_connected(net)
+        assert len(calls) <= len(net.nodes) == 40
+
+    def test_edge_naming_an_unknown_treatment_rejected(self):
+        with pytest.raises(NetworkError, match="unknown treatment 'C'"):
+            EvidenceNetwork(nodes=("A", "B"), edges=(contrast("T1", "C", "A"),))
 
 
 class TestConnectivity:
@@ -97,7 +119,7 @@ class TestConnectivity:
         assert len(component) == 5
 
     def test_removing_bridge_disconnects(self, case_network):
-        remaining = [c for c in case_network.contrasts if c.trial_id != "SUSTAIN 7"]
+        remaining = [c for c in case_network.edges if c.trial_id != "SUSTAIN 7"]
         net = build_network(remaining)
         assert not is_connected(net)
         parts = connected_components(net)
@@ -106,7 +128,7 @@ class TestConnectivity:
         assert frozenset({DULA_15, DULA_30, DULA_45}) in as_sets
 
     def test_single_node_vacuously_connected(self):
-        net = EvidenceNetwork(nodes=("A",), edges=(), trial_designs={})
+        net = EvidenceNetwork(nodes=("A",), edges=())
         assert is_connected(net)
         assert connected_components(net) == (("A",),)
 
@@ -114,7 +136,7 @@ class TestConnectivity:
         lap = laplacian(case_network)
         assert np.allclose(lap, lap.T)
         assert np.allclose(lap.sum(axis=1), 0.0)
-        total_weight = sum(e.weight for e in case_network.edges)
+        total_weight = sum(1.0 / e.se**2 for e in case_network.edges)
         assert np.trace(lap) == pytest.approx(2.0 * total_weight, rel=1e-12)
 
     def test_laplacian_agrees_with_union_find_oracle(self):
@@ -136,6 +158,13 @@ class TestConnectivity:
                 assert laplacian_connected(net) == expected
                 assert is_connected(net) == expected
                 assert touched == {n for p in connected_components(net) for n in p}
+                uf = UnionFind(net.nodes)
+                for e in net.edges:
+                    uf.union(e.treatment, e.comparator)
+                partition: dict[str, list[str]] = {}  # by root, in order of each component's first node
+                for node in net.nodes:
+                    partition.setdefault(uf.find(node), []).append(node)
+                assert connected_components(net) == tuple(map(tuple, partition.values()))
 
 
 class TestAnchoringPath:
@@ -164,6 +193,18 @@ class TestAnchoringPath:
         ]
         path = anchoring_path(build_network(triangle), "A", "C")
         assert len(path) == 1
+
+    def test_ties_broken_by_node_order(self):
+        # A-B-C and A-D-C are both shortest; D precedes B in node order, though T2 precedes T3
+        net = build_network([
+            contrast("T1", "X", "D"),
+            contrast("T2", "A", "B"),
+            contrast("T3", "A", "D"),
+            contrast("T4", "B", "C"),
+            contrast("T5", "D", "C"),
+        ])
+        assert net.nodes == ("X", "D", "A", "B", "C")
+        assert [e.trial_id for e in anchoring_path(net, "A", "C")] == ["T3", "T5"]
 
 
 class TestExport:
@@ -196,7 +237,7 @@ class TestWideWeights:
 
     def test_wide_weight_chain_is_connected(self):
         net = build_network(parse_evidence_text(_wide_chain_csv()).contrasts)
-        weights = [e.weight for e in net.edges]
+        weights = [1.0 / e.se**2 for e in net.edges]
         assert max(weights) / min(weights) == pytest.approx(1e10)
         assert laplacian_connected(net)
         assert is_connected(net)

@@ -22,7 +22,7 @@ from conftest import (
     synthetic_base,
 )
 from estimeta import engine, estimands, network, pipeline
-from estimeta.engine import CovarianceError, comparison
+from estimeta.engine import comparison
 from estimeta.estimands import (
     EndpointSpec,
     IntercurrentEventStrategy,
@@ -264,7 +264,7 @@ class TestRunAnalysis:
         meta = synthesize_meta(base, "outcome", HYP)
         report = feasibility_report(base, meta, "outcome")
         assert [r.code for r in report.reasons] == ["covariance_unidentifiable"]
-        with pytest.raises(CovarianceError, match="not positive definite"):
+        with pytest.raises(InfeasibleAnalysisError, match="linearly dependent"):
             run_analysis(base, meta, "outcome", force=True)
 
     def test_reference_override(self, case_base, hyp_meta):
@@ -320,6 +320,22 @@ class TestIdentifiability:
         assert reason.message == (
             "trial 'T1' contributes contrasts under several estimands: ['primary', 'secondary']"
         )
+
+    def test_forced_fallback_names_the_cycle_after_a_trial_without_arm_rows(self):
+        # T0 fails first for want of arm rows; the fallback mends it, then T1 closes a cycle
+        no_arms = synthetic_base([("T0", ["A", "B", "C"], [0.3, 0.4, 0.5], [0.2, 0.1])])
+        triangle = triangle_base([0.25, 0.5, 1.0])
+        base = EvidenceBase(
+            trials={**no_arms.trials, **triangle.trials},
+            contrasts=no_arms.contrasts + triangle.contrasts,
+            arm_summaries=triangle.arm_summaries,
+        )
+        meta = synthesize_meta(base, "outcome", HYP)
+        (reason,) = feasibility_report(base, meta, "outcome").reasons
+        assert "trial 'T0' lacks an arm summary" in reason.message
+        with pytest.raises(InfeasibleAnalysisError, match="linearly dependent") as raised:
+            run_analysis(base, meta, "outcome", force=True)
+        assert [r.code for r in raised.value.report.reasons] == ["covariance_unidentifiable"] * 2
 
 
 @pytest.fixture(scope="module")

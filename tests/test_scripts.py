@@ -26,3 +26,4 @@ def test_case_study_script_reports_body_weight_attenuation():
     _, _, attenuation = body_weight.partition("attenuation (treatment policy closer to the null):")
     lines = re.findall(r"^  vs dulaglutide \d\.\d mg QW .* -> yes$", attenuation, flags=re.M)
     assert len(lines) == 3, run.stdout
+    assert run.stdout == (ROOT / "tests" / "golden" / "run_case_study.out").read_text(encoding="utf-8")
