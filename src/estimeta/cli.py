@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .engine import (
-    DisconnectedNetworkError,
     EngineError,
     NmaResult,
     NumericalError,
@@ -138,9 +137,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         for reason in exc.report.reasons:
             print(f"  [{reason.severity}] {reason.code}: {reason.message}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except DisconnectedNetworkError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (NumericalError, ConnectivityCheckError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -12,9 +12,10 @@ covariance (built only on demand, as `GlsSystem.sigma`) nor its inverse is
 formed.  Each solve computes its league table once, over whole arrays,
 from the estimates and their covariance alone.
 
-A slice's blocks are built once, by `trial_blocks`: the feasibility report
-keeps them and the analysis assembles its system over them;
-`assemble_gls` builds them itself for callers that have none.
+A slice's blocks are built once, by `trial_blocks`, from the caller's
+evidence base: the feasibility report keeps them and the analysis assembles
+its system over them in one call; `assemble_gls` builds them itself for
+callers that have none.
 """
 
 from __future__ import annotations
@@ -138,9 +139,9 @@ def assemble_gls(
     """
     if not is_connected(net):
         raise DisconnectedNetworkError("evidence network is disconnected")
-    system = _gls_system(net, reference, ())  # reference checked before any block
+    net.node_index(reference)  # an unknown reference fails before any block is built
     blocks = trial_blocks(net.edges, base, independence_fallback=independence_fallback)
-    return replace(system, blocks=tuple(blocks))
+    return _gls_system(net, reference, blocks)
 
 
 def _gls_system(net: EvidenceNetwork, reference: str, blocks: Sequence[np.ndarray]) -> GlsSystem:

@@ -307,6 +307,9 @@ class AttributeCheck:
     detail: str = ""
 
 
+_OK = AttributeCheck("ok")  # shared: a slice's verdicts live as long as its result
+
+
 @dataclass(frozen=True)
 class MatchVerdict:
     """Whether a trial estimand may contribute to a meta-analytical estimand."""
@@ -337,7 +340,7 @@ def matches_meta(trial_estimand: Estimand, meta: MetaEstimand) -> MatchVerdict:
     attrs: dict[str, AttributeCheck] = {}
 
     if trial_estimand.summary_measure is meta.summary_measure:
-        attrs["summary_measure"] = AttributeCheck("ok")
+        attrs["summary_measure"] = _OK
     else:
         detail = (
             f"summary measure {trial_estimand.summary_measure.value} vs {meta.summary_measure.value}"
@@ -358,7 +361,7 @@ def matches_meta(trial_estimand: Estimand, meta: MetaEstimand) -> MatchVerdict:
         attrs["endpoint"] = AttributeCheck("fail", detail)
         blockers.append(detail)
     else:
-        attrs["endpoint"] = AttributeCheck("ok")
+        attrs["endpoint"] = _OK
 
     trial_events, meta_events = trial_estimand.events, meta.events
     ie_blockers: list[str] = []
@@ -384,7 +387,7 @@ def matches_meta(trial_estimand: Estimand, meta: MetaEstimand) -> MatchVerdict:
     elif ie_warnings:
         attrs["intercurrent_events"] = AttributeCheck("warn", "; ".join(ie_warnings))
     else:
-        attrs["intercurrent_events"] = AttributeCheck("ok")
+        attrs["intercurrent_events"] = _OK
     blockers.extend(ie_blockers)
     warnings.extend(ie_warnings)
 
@@ -393,7 +396,7 @@ def matches_meta(trial_estimand: Estimand, meta: MetaEstimand) -> MatchVerdict:
         attrs["population"] = AttributeCheck("warn", detail)
         warnings.append(detail)
     else:
-        attrs["population"] = AttributeCheck("ok")
+        attrs["population"] = _OK
 
     trial_treatments, meta_treatments = trial_estimand.treatment_keys, meta.treatment_keys
     if not trial_treatments <= meta_treatments:
@@ -402,7 +405,7 @@ def matches_meta(trial_estimand: Estimand, meta: MetaEstimand) -> MatchVerdict:
         attrs["treatments"] = AttributeCheck("warn", detail)
         warnings.append(detail)
     else:
-        attrs["treatments"] = AttributeCheck("ok")
+        attrs["treatments"] = _OK
 
     return MatchVerdict(
         compatible=not blockers,
@@ -427,7 +430,7 @@ class AlignmentRow:
     verdict: MatchVerdict
 
     def cell(self, attribute: str) -> AttributeCheck:
-        return self.verdict.attributes.get(attribute, AttributeCheck("ok"))
+        return self.verdict.attributes.get(attribute, _OK)
 
 
 @dataclass(frozen=True)

@@ -127,8 +127,6 @@ class ArmSummary:
             raise ValueError(f"n_randomized must be >= 1, got {self.n_randomized}")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError(f"ci_level must lie in (0, 1), got {self.ci_level}")
-        if self.ci_lower >= self.ci_upper:
-            raise ValueError(f"ci_lower must be below ci_upper, got ({self.ci_lower}, {self.ci_upper})")
         object.__setattr__(self, "se", se_from_ci(self.ci_lower, self.ci_upper, self.ci_level))
         _check_se(self.se, "the se implied by ci_lower and ci_upper")
 

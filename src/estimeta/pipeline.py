@@ -1,12 +1,14 @@
 """Orchestration: restrict the evidence by a target meta-estimand, assess
 feasibility, run per-slice analyses, and compare strategies side by side.
 
-A slice is one (meta-estimand, endpoint) pair.  Restriction judges each
-trial estimand of the endpoint once and keeps exactly the contrasts whose
-estimand is admissible under the target; every input contrast lands in the
-provenance exactly once, either used or excluded with reasons.  Feasibility
-reads the same verdicts, and the analysis solves over the covariance
-blocks that feasibility built.
+A slice is one (meta-estimand, endpoint) pair, recorded once, as its
+`Restriction`.  Restriction judges each trial estimand of the endpoint once
+and keeps exactly the contrasts whose estimand is admissible under the
+target; every input contrast lands in it exactly once, either used or
+excluded with reasons.  Feasibility reads the same verdicts and builds the
+slice's covariance blocks from the caller's evidence base; the analysis
+solves over those blocks and returns the same `Restriction` as its
+provenance.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .engine import (
     CovarianceError,
     NmaResult,
     _gls_system,
-    assemble_gls,
     solve_fixed_effects,
     trial_blocks,
 )
@@ -77,23 +78,16 @@ class ExcludedContrast:
 
 @dataclass(frozen=True)
 class Restriction:
-    """Result of narrowing an evidence base to one slice."""
+    """One slice: the target, its canonical endpoint key, and how each contrast fared."""
 
-    base: EvidenceBase
+    meta: MetaEstimand
+    endpoint: str
     used: tuple[ContrastEstimate, ...]
     excluded: tuple[ExcludedContrast, ...]
     warnings: tuple[Reason, ...]
     # (trial id, estimand label key) -> (estimand, its verdict), for every estimand
     # the input declares for the endpoint, in trial and declaration order
     verdicts: Mapping[tuple[str, str], tuple[Estimand, MatchVerdict]]
-
-
-@dataclass(frozen=True)
-class Provenance:
-    meta_label: str
-    endpoint: str
-    used: tuple[ContrastEstimate, ...]
-    excluded: tuple[ExcludedContrast, ...]
 
 
 class FeasibilityVerdict(enum.Enum):
@@ -153,19 +147,9 @@ def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> 
                 code = _WARNING_CODES.get(attr, "estimand_warning")
                 warnings.setdefault((code, f"{contrast.trial_id}: {check.detail}"))
 
-    used_trials = {c.trial_id for c in used}
-    used_groups = {(c.trial_id, c.label_key, c.endpoint) for c in used}
-    slice_base = EvidenceBase(
-        trials={tid: rec for tid, rec in base.trials.items() if tid in used_trials},
-        contrasts=tuple(used),
-        arm_summaries=tuple(
-            a
-            for a in base.arm_summaries
-            if (a.trial_id, a.label_key, a.endpoint) in used_groups
-        ),
-    )
     return Restriction(
-        base=slice_base,
+        meta=meta,
+        endpoint=key,
         used=tuple(used),
         excluded=tuple(excluded),
         warnings=tuple(Reason(code, "warning", message) for code, message in warnings),
@@ -179,7 +163,6 @@ def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) ->
     The alignment rows ("<trial>: <label>") are the restriction's verdicts;
     the covariance blocks built for the identifiability check are kept.
     """
-    key = canonical(endpoint)
     restriction = restrict_evidence(base, meta, endpoint)
     rows = [AlignmentRow(f"{tid}: {est.label}", v) for (tid, _), (est, v) in restriction.verdicts.items()]
     alignment = AlignmentReport(meta_label=meta.label, rows=tuple(rows))
@@ -188,9 +171,8 @@ def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) ->
     blocks: Optional[tuple[np.ndarray, ...]] = None
 
     if not restriction.used:
-        reasons.append(
-            Reason("no_evidence", "error", f"no contrasts match {meta.label!r} for endpoint {key!r}")
-        )
+        message = f"no contrasts match {meta.label!r} for endpoint {restriction.endpoint!r}"
+        reasons.append(Reason("no_evidence", "error", message))
     else:
         net = build_network(restriction.used)
         if not is_connected(net):
@@ -201,7 +183,7 @@ def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) ->
             )
         else:
             try:
-                blocks = tuple(trial_blocks(net.edges, restriction.base))
+                blocks = tuple(trial_blocks(net.edges, base))
             except CovarianceError as exc:
                 reasons.append(Reason("covariance_unidentifiable", "error", str(exc)))
 
@@ -242,12 +224,13 @@ def run_analysis(
     *,
     force: bool = False,
 ) -> NmaResult:
-    """Restrict, build, assemble and solve one slice, with provenance attached.
+    """Restrict, build, assemble and solve one slice; its `Restriction` is the provenance.
 
-    The GLS system is assembled from the blocks the feasibility report kept.
-    Force mode downgrades a missing multi-arm covariance to an independence
-    approximation; it cannot rescue an empty or disconnected slice, nor a
-    trial whose block the fallback cannot build either.
+    The GLS system is assembled once, from the blocks the feasibility report
+    kept.  Force mode downgrades a missing multi-arm covariance to an
+    independence approximation; it cannot rescue an empty or disconnected
+    slice, nor a trial whose block the fallback cannot build either, and such
+    a slice is infeasible whatever the reference.
     """
     report = feasibility_report(base, meta, endpoint)
     if report.verdict is FeasibilityVerdict.INFEASIBLE:
@@ -261,29 +244,22 @@ def run_analysis(
 
     net = report.network
     assert net is not None
-    ref = reference if reference is not None else default_reference(net)
-    if report.blocks is not None:
-        system = _gls_system(net, ref, report.blocks)
-    else:  # forced past an unidentifiable covariance, which the fallback may not cure
+    blocks = report.blocks
+    if blocks is None:  # forced past an unidentifiable covariance, which the fallback may not cure
         try:
-            system = assemble_gls(net, report.restriction.base, ref, independence_fallback=True)
+            blocks = trial_blocks(net.edges, base, independence_fallback=True)
         except CovarianceError as exc:  # feasibility may have given this very reason already
             reasons = dict.fromkeys((*report.reasons, Reason("covariance_unidentifiable", "error", str(exc))))
             raise InfeasibleAnalysisError(replace(report, reasons=tuple(reasons))) from None
-    result = solve_fixed_effects(system, ci_level)
+    ref = reference if reference is not None else default_reference(net)
+    result = solve_fixed_effects(_gls_system(net, ref, blocks), ci_level)
 
     notes = list(result.notes)
     for reason in report.reasons:
         notes.append(f"{reason.code}: {reason.message}")
     if force and any(r.code == "covariance_unidentifiable" for r in report.reasons):
         notes.append("forced: multi-arm correlation ignored (independence fallback)")
-    provenance = Provenance(
-        meta_label=meta.label,
-        endpoint=canonical(endpoint),
-        used=report.restriction.used,
-        excluded=report.restriction.excluded,
-    )
-    return replace(result, notes=tuple(notes), provenance=provenance)
+    return replace(result, notes=tuple(notes), provenance=report.restriction)
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,20 @@ class TestAnalyze:
         assert err.startswith("infeasible: ")
         assert "covariance_unidentifiable: trial 'T1' contributes contrasts under several estimands" in err
 
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_unbuildable_block_is_infeasible_whatever_the_reference(self, tmp_path, capsys, force):
+        path = tmp_path / "two_estimands.csv"
+        path.write_text(TWO_ESTIMANDS_CSV, encoding="utf-8")
+        code = main(["analyze", "--input", str(path), "--estimand", "hypothetical", "--reference", "Z", *force])
+        assert code == 3
+        assert "covariance_unidentifiable" in capsys.readouterr().err
+
+    def test_forced_unknown_reference_usage_error(self, capsys):
+        code = main(["analyze", "--input", CASE, "--estimand", "hypothetical", "--endpoint", "hba1c",
+                     "--force", "--reference", "Z"])
+        assert code == 1
+        assert "unknown treatment 'Z'" in capsys.readouterr().err
+
     def test_config_file(self, tmp_path, capsys):
         config = tmp_path / "plan.json"
         config.write_text(

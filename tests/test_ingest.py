@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -408,6 +409,15 @@ class TestFormatParity:
         doc["arms"][1]["ci_level"] = 0
         with pytest.raises(EvidenceFormatError, match=r"arms\[1\].*ci_level"):
             parse_json_doc(doc)
+
+    @pytest.mark.parametrize(
+        "lower, upper, shown", [("0.4", "-0.4", "(0.4, -0.4)"), ("0.4", "0.4", "(0.4, 0.4)"), ("2e0", "1", "(2.0, 1.0)")]
+    )
+    def test_csv_rejects_arm_interval_out_of_order(self, lower, upper, shown):
+        text = PARITY_CSV.replace("-0.4,0.4,0.95", f"{lower},{upper},0.95")
+        message = f"line 14: ci_lower must be below ci_upper, got {shown}"
+        with pytest.raises(EvidenceFormatError, match=re.escape(message)):
+            parse_evidence_text(text)
 
     def test_missing_field_named_in_both(self):
         doc = parity_doc()

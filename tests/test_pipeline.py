@@ -130,10 +130,16 @@ class TestRestrictEvidence:
 
     def test_idempotent(self, case_base, hyp_meta):
         once = restrict_evidence(case_base, hyp_meta, HBA1C)
-        twice = restrict_evidence(once.base, hyp_meta, HBA1C)
+        once_base = slice_base(case_base, once.used)
+        twice = restrict_evidence(once_base, hyp_meta, HBA1C)
         assert twice.used == once.used
-        assert twice.base == once.base
+        assert slice_base(once_base, twice.used) == once_base
         assert twice.excluded == ()
+
+    def test_slice_records_its_target_and_endpoint_key(self, case_base, hyp_meta):
+        restriction = restrict_evidence(case_base, hyp_meta, "  Change from Baseline in  HbA1c ")
+        assert restriction.meta is hyp_meta
+        assert restriction.endpoint == HBA1C
 
     def test_output_is_subset(self, case_base, hyp_meta):
         restriction = restrict_evidence(case_base, hyp_meta, HBA1C)
@@ -199,7 +205,7 @@ class TestRunAnalysis:
     def test_restriction_is_noop_when_everything_matches(self, case_base, hyp_meta):
         restriction = restrict_evidence(case_base, hyp_meta, HBA1C)
         full = run_analysis(case_base, hyp_meta, HBA1C)
-        sliced = run_analysis(restriction.base, hyp_meta, HBA1C)
+        sliced = run_analysis(slice_base(case_base, restriction.used), hyp_meta, HBA1C)
         for key, c in full.comparisons.items():
             assert sliced.comparisons[key].md == pytest.approx(c.md, abs=1e-14)
             assert sliced.comparisons[key].se == pytest.approx(c.se, abs=1e-14)
@@ -232,7 +238,31 @@ class TestRunAnalysis:
         assert result.provenance is not None
         assert len(result.provenance.used) == 4
         assert len(result.provenance.excluded) == 12
-        assert result.provenance.meta_label == "hypothetical"
+        assert result.provenance.meta.label == "hypothetical"
+
+    def test_provenance_is_the_feasibility_restriction(self, case_base, hyp_meta):
+        result = run_analysis(case_base, hyp_meta, "Change from baseline in HbA1c")
+        assert result.provenance == feasibility_report(case_base, hyp_meta, HBA1C).restriction
+        assert result.provenance.meta is hyp_meta
+        assert result.provenance.endpoint == HBA1C
+
+    def test_no_evidence_base_built_per_slice(self, case_base, hyp_meta, monkeypatch):
+        stripped = dataclasses.replace(
+            case_base,
+            arm_summaries=tuple(a for a in case_base.arm_summaries if a.trial_id != "AWARD-11"),
+        )
+        calls = []
+        original = EvidenceBase.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(EvidenceBase, "__post_init__", counted)
+        feasibility_report(case_base, hyp_meta, HBA1C)
+        run_analysis(case_base, hyp_meta, HBA1C)
+        run_analysis(stripped, hyp_meta, HBA1C, force=True)  # the independence fallback's blocks
+        assert len(calls) == 0
 
     def test_connectivity_decided_once_per_slice(self, case_base, hyp_meta, monkeypatch):
         calls = []
@@ -270,6 +300,18 @@ class TestRunAnalysis:
     def test_reference_override(self, case_base, hyp_meta):
         result = run_analysis(case_base, hyp_meta, HBA1C, reference=SEMA_2)
         assert result.reference == SEMA_2
+
+
+def slice_base(base: EvidenceBase, used) -> EvidenceBase:
+    """The evidence base of a slice: its used contrasts, their trials, and the arm
+    rows of their (trial, estimand, endpoint) groups."""
+    trials = {c.trial_id for c in used}
+    groups = {(c.trial_id, c.label_key, c.endpoint) for c in used}
+    return EvidenceBase(
+        trials={tid: rec for tid, rec in base.trials.items() if tid in trials},
+        contrasts=tuple(used),
+        arm_summaries=tuple(a for a in base.arm_summaries if (a.trial_id, a.label_key, a.endpoint) in groups),
+    )
 
 
 def triangle_base(variances) -> EvidenceBase:
