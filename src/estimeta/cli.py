@@ -169,6 +169,8 @@ def _resolve_endpoint(base: EvidenceBase, given: Optional[str]) -> str:
             return keys[0]
         raise UsageError(f"--endpoint is required; file has several: {', '.join(keys)}")
     wanted = canonical(given)
+    if not wanted:
+        raise UsageError(f"--endpoint must name an endpoint, got {given!r}; file has: {', '.join(keys)}")
     if wanted in keys:
         return wanted
     matches = [k for k in keys if wanted in k]
@@ -258,7 +260,7 @@ def _cmd_network(args) -> int:
     chunks: list[str] = []
     all_connected = True
     for key in endpoints:
-        if args.estimand:
+        if args.estimand is not None:
             meta = resolve_meta(
                 base, key, args.estimand, config=config, tolerance_weeks=tolerance, mode=mode
             )

@@ -11,21 +11,19 @@ which trial results are allowed into a pooled analysis.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
-
-_WS = re.compile(r"\s+")
 
 
 def canonical(text: str) -> str:
-    """Lowercase, trim, and collapse internal whitespace."""
-    return _WS.sub(" ", text.strip()).lower()
+    """Lowercase, trim, and collapse internal whitespace (`str.isspace` characters)."""
+    return " ".join(text.split()).lower()
 
 
 def normalize_id(text: str) -> str:
     """Trim and collapse whitespace, preserving case for display."""
-    return _WS.sub(" ", text.strip())
+    return " ".join(text.split())
 
 
 class IntercurrentEventStrategy(enum.Enum):
@@ -317,11 +315,17 @@ class MatchVerdict:
     compatible: bool
     blockers: tuple[str, ...]
     warnings: tuple[str, ...]
-    attributes: Mapping[str, AttributeCheck] = field(default_factory=dict)
+    attributes: Mapping[str, AttributeCheck]  # read-only: equal verdict keys share a verdict
 
     @property
     def reasons(self) -> tuple[str, ...]:
         return self.blockers + self.warnings
+
+
+def _verdict_key(est: Estimand, meta: MetaEstimand) -> tuple:
+    """All `matches_meta` reads of `est` under `meta`, quoted display strings included."""
+    return (est.summary_measure, est.endpoint.name, est.endpoint.units, est.endpoint.timepoint_weeks,
+            est.population, *est.events.items(), est.treatment_keys - meta.treatment_keys)
 
 
 def matches_meta(trial_estimand: Estimand, meta: MetaEstimand) -> MatchVerdict:
@@ -411,7 +415,7 @@ def matches_meta(trial_estimand: Estimand, meta: MetaEstimand) -> MatchVerdict:
         compatible=not blockers,
         blockers=tuple(blockers),
         warnings=tuple(warnings),
-        attributes=attrs,
+        attributes=MappingProxyType(attrs),
     )
 
 

@@ -2,13 +2,13 @@
 feasibility, run per-slice analyses, and compare strategies side by side.
 
 A slice is one (meta-estimand, endpoint) pair, recorded once, as its
-`Restriction`.  Restriction judges each trial estimand of the endpoint once
-and keeps exactly the contrasts whose estimand is admissible under the
-target; every input contrast lands in it exactly once, either used or
-excluded with reasons.  Feasibility reads the same verdicts and builds the
-slice's covariance blocks from the caller's evidence base; the analysis
-solves over those blocks and returns the same `Restriction` as its
-provenance.
+`Restriction`.  Restriction gives each trial estimand of the endpoint one
+verdict, shared by the estimands that declare the same thing, and keeps
+exactly the contrasts whose estimand is admissible under the target; every
+input contrast lands in it exactly once, either used or excluded with
+reasons.  Feasibility reads the same verdicts and builds the slice's
+covariance blocks from the caller's evidence base; the analysis solves over
+those blocks and returns the same `Restriction` as its provenance.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .estimands import (
     MatchingMode,
     MatchVerdict,
     MetaEstimand,
+    _verdict_key,
     canonical,
     matches_meta,
 )
@@ -111,15 +112,17 @@ class FeasibilityReport:
 def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> Restriction:
     """Keep the contrasts admissible under the meta-estimand for one endpoint.
 
-    Each trial estimand of the endpoint is matched once (`Restriction.verdicts`);
-    the contrasts, their exclusion reasons and the warnings read those verdicts.
+    Each trial estimand of the endpoint gets a verdict (`Restriction.verdicts`), one
+    per distinct `_verdict_key`; contrasts, exclusion reasons and warnings read them.
     """
     key = canonical(endpoint)
-    verdicts = {
-        (trial_id, est.label_key): (est, matches_meta(est, meta))
-        for trial_id, ests in base.estimands_by_trial(key).items()
-        for est in ests
-    }
+    judged: dict[tuple, MatchVerdict] = {}
+    verdicts = {}
+    for trial_id, ests in base.estimands_by_trial(key).items():
+        for est in ests:
+            if (signature := _verdict_key(est, meta)) not in judged:
+                judged[signature] = matches_meta(est, meta)
+            verdicts[trial_id, est.label_key] = (est, judged[signature])
     used: list[ContrastEstimate] = []
     excluded: list[ExcludedContrast] = []
     warnings: dict[tuple[str, str], None] = {}

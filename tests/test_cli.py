@@ -86,6 +86,23 @@ class TestNetwork:
         assert main(["network", "--input", CASE, "--endpoint", "hba1c", "--format", "json"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_empty_estimand_usage_error(self, capsys):
+        assert main(["network", "--input", CASE, "--endpoint", "hba1c", "--estimand", ""]) == 1
+        assert "unknown meta-estimand ''" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["network", "analyze"])
+    @pytest.mark.parametrize("endpoint", ["", "  "])
+    @pytest.mark.parametrize("one_endpoint", [False, True])
+    def test_blank_endpoint_usage_error(self, command, endpoint, one_endpoint, tmp_path, capsys):
+        path = CASE
+        if one_endpoint:
+            path = tmp_path / "two_estimands.csv"
+            path.write_text(TWO_ESTIMANDS_CSV, encoding="utf-8")
+        argv = [command, "--input", str(path), "--endpoint", endpoint]
+        assert main(argv + (["--estimand", "hypothetical"] if command == "analyze" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --endpoint must name an endpoint")
+
 
 class TestAnalyze:
     def test_league_table_text(self, capsys):

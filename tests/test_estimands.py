@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from estimeta.estimands import (
     compare_estimands,
     heterogeneity_matrix,
     matches_meta,
+    normalize_id,
 )
 
 HYP = IntercurrentEventStrategy.HYPOTHETICAL
@@ -286,3 +290,30 @@ def test_verdicts_ignore_case_and_whitespace(estimand, rnd):
     meta = MetaEstimand.from_estimand(estimand, tolerance_weeks=0, mode=MatchingMode.STRICT)
     assert matches_meta(mangled, meta).compatible == matches_meta(estimand, meta).compatible
     assert compare_estimands(mangled, estimand).event_diff.empty
+
+
+# --- whitespace normalization ---------------------------------------------------
+
+_WS = re.compile(r"\s+")  # the regex form of the whitespace collapse, kept as the oracle
+
+
+def test_isspace_is_the_regex_whitespace_set():
+    one = re.compile(r"\s")
+    differ = [i for i in range(sys.maxunicode + 1) if bool(one.fullmatch(chr(i))) != chr(i).isspace()]
+    assert differ == []
+
+
+spaced_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(["a", "B", "\u00c9", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c",
+                         "\x85", "\u00a0", "\u200b", "\u2003", "\u3000"]),
+        st.characters(),
+    ),
+    max_size=24,
+)
+
+
+@given(spaced_text)
+def test_normalization_equals_the_regex_form(text):
+    assert canonical(text) == _WS.sub(" ", text.strip()).lower()
+    assert normalize_id(text) == _WS.sub(" ", text.strip())

@@ -18,6 +18,7 @@ from conftest import (
     SEMA_2,
     TWO_ESTIMANDS_CSV,
     WEIGHT,
+    large_connected_base,
     random_connected_base,
     synthetic_base,
 )
@@ -29,6 +30,7 @@ from estimeta.estimands import (
     MatchingMode,
     MetaEstimand,
     SummaryMeasure,
+    matches_meta,
 )
 from estimeta.ingest import (
     ContrastEstimate,
@@ -190,6 +192,130 @@ class TestFeasibility:
         report = feasibility_report(case_base, hyp_meta, HBA1C)
         assert len(calls) == len({id(e) for e in calls}) == 6
         assert len(report.alignment.rows) == 6
+
+
+@pytest.fixture(scope="module")
+def varied_base() -> EvidenceBase:
+    """conftest.large_connected_base (40 treatments, 300 trials) whose estimands declare
+    one of 2 populations x 3 timepoints x (with or without an extra treatment-policy
+    event): 12 distinct declarations."""
+    base = large_connected_base(np.random.default_rng(9), n_nodes=40, n_trials=300)
+    trials = {}
+    for i, (trial_id, record) in enumerate(base.trials.items()):
+        ((key, est),) = record.estimands.items()
+        extra = (estimands.IntercurrentEventHandling("rescue medication", TP),) if i % 5 == 0 else ()
+        est = dataclasses.replace(
+            est,
+            population=("adults", "elderly")[i % 2],
+            endpoint=dataclasses.replace(est.endpoint, timepoint_weeks=(12, 14, 16)[i % 3]),
+            ie_handlings=est.ie_handlings + extra,
+        )
+        trials[trial_id] = dataclasses.replace(record, estimands={key: est})
+    return dataclasses.replace(base, trials=trials)
+
+
+def plan_meta(base, template: MetaEstimand, mode: str, tolerance: int, treatments) -> MetaEstimand:
+    """A full plan definition read through load_config: the template's attributes
+    with the given treatments, tolerance and matching mode."""
+    record = {
+        "label": "plan",
+        "population": template.population,
+        "treatments": sorted(treatments),
+        "endpoint_name": template.endpoint.name,
+        "units": template.endpoint.units,
+        "timepoint_weeks": template.endpoint.timepoint_weeks,
+        "summary_measure": template.summary_measure.value,
+        "ie_handlings": [
+            {"event_name": h.event_name, "strategy": h.strategy.value} for h in template.ie_handlings
+        ],
+        "timepoint_tolerance_weeks": tolerance,
+        "matching_mode": mode,
+    }
+    (meta,) = load_config({"meta_estimands": [record]}, base).meta_estimands
+    return meta
+
+
+def unshare(monkeypatch) -> None:
+    """Give every trial estimand a verdict key of its own (undone at teardown), so
+    that restriction judges each one with a fresh verdict."""
+    monkeypatch.setattr(pipeline, "_verdict_key", lambda est, meta: id(est))
+
+
+class TestSharedVerdicts:
+    """Trial estimands that declare the same thing share one verdict per restriction."""
+
+    def test_matches_meta_called_once_per_distinct_key(self, varied_base, monkeypatch):
+        meta = synthesize_meta(varied_base, "outcome", HYP)
+        calls = []
+        original = estimands.matches_meta
+
+        def counted(estimand, meta):
+            calls.append(estimand)
+            return original(estimand, meta)
+
+        monkeypatch.setattr(pipeline, "matches_meta", counted)
+        restriction = restrict_evidence(varied_base, meta, "outcome")
+        declared = [est for est, _ in restriction.verdicts.values()]
+        distinct = {(e.population, e.endpoint.timepoint_weeks, len(e.ie_handlings)) for e in declared}
+        assert len(declared) == 300
+        assert len(calls) == len(distinct) == 12
+        assert len({id(v) for _, v in restriction.verdicts.values()}) == 12
+
+    @pytest.mark.parametrize("which", ["case", "large"])
+    @pytest.mark.parametrize("mode", ["lenient", "strict"])
+    @pytest.mark.parametrize("tolerance", [0, 4])
+    @pytest.mark.parametrize("scope", ["all", "fewer"])
+    def test_shared_verdicts_equal_fresh_ones(self, request, monkeypatch, which, mode, tolerance, scope):
+        base, endpoint = (
+            (request.getfixturevalue("case_base"), HBA1C) if which == "case"
+            else (request.getfixturevalue("varied_base"), "outcome")
+        )
+        template = synthesize_meta(base, endpoint, HYP)
+        treatments = sorted(template.treatments)
+        meta = plan_meta(base, template, mode, tolerance, treatments if scope == "all" else treatments[:3])
+
+        restriction = restrict_evidence(base, meta, endpoint)
+        for est, verdict in restriction.verdicts.values():
+            assert verdict == matches_meta(est, meta)
+        shared = pipeline.feasibility_to_dict(feasibility_report(base, meta, endpoint))
+
+        unshare(monkeypatch)
+        fresh = feasibility_report(base, meta, endpoint)
+        assert len({id(v) for _, v in fresh.restriction.verdicts.values()}) == len(restriction.verdicts)
+        assert pipeline.feasibility_to_dict(fresh) == shared
+        if scope == "fewer":  # each trial's out-of-scope warning names its own treatments
+            cells = [row["attributes"]["treatments"] for row in shared["alignment"]["rows"]]
+            assert len({c["detail"] for c in cells if c["status"] == "warn"}) > 1
+
+    def test_spellings_of_one_endpoint_keep_their_own_verdicts(self, varied_base):
+        """Estimands of one endpoint key whose name or units are written differently
+        do not share a verdict: its messages quote what each trial declared."""
+        trials = {}
+        for i, (trial_id, record) in enumerate(varied_base.trials.items()):
+            ((key, est),) = record.estimands.items()
+            endpoint = dataclasses.replace(
+                est.endpoint,
+                name=("outcome", "Outcome")[i % 7 == 0],
+                units=(est.endpoint.units, "mmol/mol")[i % 11 == 0],
+            )
+            est = dataclasses.replace(est, endpoint=endpoint)
+            trials[trial_id] = dataclasses.replace(record, estimands={key: est})
+        base = dataclasses.replace(varied_base, trials=trials)
+        meta = synthesize_meta(base, "outcome", HYP)
+        restriction = restrict_evidence(base, meta, "outcome")
+        for est, verdict in restriction.verdicts.values():
+            assert verdict == matches_meta(est, meta)
+        quoted = {b for _, v in restriction.verdicts.values() for b in v.blockers}
+        target = f"{meta.endpoint.name!r} [{meta.endpoint.units}]"
+        assert quoted == {f"endpoint {name!r} [mmol/mol] vs {target}" for name in ("outcome", "Outcome")}
+
+    def test_verdict_attributes_are_read_only(self, varied_base):
+        meta = synthesize_meta(varied_base, "outcome", HYP)
+        restriction = restrict_evidence(varied_base, meta, "outcome")
+        _, verdict = next(iter(restriction.verdicts.values()))
+        with pytest.raises(TypeError):
+            verdict.attributes["population"] = estimands.AttributeCheck("fail", "edited")
+        assert verdict.attributes["population"].status != "fail"
 
 
 class TestRunAnalysis:
