@@ -41,10 +41,10 @@ def main() -> None:
             for reason in report.reasons:
                 print(f"  {reason.severity}: {reason.code}: {reason.message}")
             print(f"  alignment ({' | '.join(ALIGNMENT_COLUMNS)}):")
-            for row in report.alignment.rows:
-                cells = " | ".join(row.cell(col).status for col in ALIGNMENT_COLUMNS)
-                flag = "ok" if row.verdict.compatible else "EXCLUDED"
-                print(f"    {row.label:<32} {cells}  -> {flag}")
+            for (trial_id, _), (est, verdict) in report.restriction.verdicts.items():
+                cells = " | ".join(verdict.attributes[col].status for col in ALIGNMENT_COLUMNS)
+                flag = "ok" if verdict.compatible else "EXCLUDED"
+                print(f"    {trial_id + ': ' + est.label:<32} {cells}  -> {flag}")
             results[label] = run_analysis(base, meta, endpoint)
 
         print(f"\npooled mean differences for {FOCUS}:")

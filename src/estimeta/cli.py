@@ -79,12 +79,13 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=None,
                        help="JSON file defining meta-estimands and defaults")
         p.add_argument("--tolerance", type=int, default=None, metavar="WEEKS",
-                       help="timepoint tolerance in weeks (default: 4)")
+                       help="timepoint tolerance in weeks (default: 4, or a configured record's)")
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--strict", action="store_true",
                           help="block trials declaring extra intercurrent events")
         mode.add_argument("--lenient", action="store_true",
-                          help="allow extra events with a warning (default)")
+                          help="allow extra events with a warning (default, unless a configured "
+                               "record is strict)")
 
     def solving(p: argparse.ArgumentParser) -> None:
         p.add_argument("--reference", default=None, help="reference treatment")
@@ -126,6 +127,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.output == "":
+            raise UsageError("--output must name a file, got ''")
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -154,7 +157,7 @@ def entry() -> None:
 
 
 def _emit(text: str, output: Optional[str]) -> None:
-    if output:
+    if output is not None:
         Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -181,15 +184,15 @@ def _resolve_endpoint(base: EvidenceBase, given: Optional[str]) -> str:
     raise UsageError(f"endpoint {given!r} is ambiguous: {', '.join(matches)}")
 
 
-def _matching_args(args) -> tuple[int, MatchingMode]:
-    tolerance = 4 if args.tolerance is None else args.tolerance
-    mode = MatchingMode.STRICT if getattr(args, "strict", False) else MatchingMode.LENIENT
-    return tolerance, mode
+def _matching_args(args) -> tuple[Optional[int], Optional[MatchingMode]]:
+    """The tolerance and matching mode given on the command line, None where left out."""
+    mode = MatchingMode.STRICT if args.strict else MatchingMode.LENIENT if args.lenient else None
+    return args.tolerance, mode
 
 
 def _load_context(args) -> tuple[EvidenceBase, Optional[AnalysisConfig]]:
     base = parse_evidence(args.input)
-    config = load_config(args.config, base) if getattr(args, "config", None) else None
+    config = load_config(args.config, base) if args.config is not None else None
     return base, config
 
 
@@ -314,7 +317,7 @@ def _run_slices(args, labels: Sequence[str]) -> tuple[str, float, dict[str, NmaR
     base, config = _load_context(args)
     endpoint = _resolve_endpoint(base, args.endpoint)
     tolerance, mode = _matching_args(args)
-    reference = args.reference or (config.reference if config else None)
+    reference = args.reference if args.reference is not None else config.reference if config else None
     # an invalid --ci-level such as 0 is rejected downstream, not replaced
     ci_level = args.ci_level if args.ci_level is not None else config.ci_level if config else 0.95
     results = {}

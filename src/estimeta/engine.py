@@ -13,9 +13,8 @@ formed.  Each solve computes its league table once, over whole arrays,
 from the estimates and their covariance alone.
 
 A slice's blocks are built once, by `trial_blocks`, from the caller's
-evidence base: the feasibility report keeps them and the analysis assembles
-its system over them in one call; `assemble_gls` builds them itself for
-callers that have none.
+evidence base: the feasibility report keeps them, and `assemble_gls`, the
+one way to build a `GlsSystem`, assembles the analysis's system over them.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from .estimands import canonical
 from .ingest import ContrastEstimate, EvidenceBase
-from .network import EvidenceNetwork, incidence, is_connected
+from .network import EvidenceNetwork, incidence
 from .normal import z_for_level
 
 CONDITION_ERROR = 1e12
@@ -123,29 +122,15 @@ class GlsSystem:
         return sigma
 
 
-def assemble_gls(
-    net: EvidenceNetwork,
-    base: EvidenceBase,
-    reference: str,
-    *,
-    independence_fallback: bool = False,
-) -> GlsSystem:
-    """Build y, X and the per-trial covariance blocks (in row order) for a network slice.
+def assemble_gls(net: EvidenceNetwork, reference: str, blocks: Sequence[np.ndarray]) -> GlsSystem:
+    """Build y and X of a network slice over its per-trial covariance blocks.
 
     Row order is the network's deterministic contrast order (trial id,
-    treatment, comparator).  With `independence_fallback`, a multi-arm
-    trial without arm-level data degrades to a diagonal block instead of
-    failing; the shared-arm correlation is then ignored.
+    treatment, comparator); `blocks` are those `trial_blocks(net.edges, base)`
+    returns, in the same order.
     """
-    if not is_connected(net):
+    if not net.connected:  # the verdict `is_connected` decided, or decided here and kept
         raise DisconnectedNetworkError("evidence network is disconnected")
-    net.node_index(reference)  # an unknown reference fails before any block is built
-    blocks = trial_blocks(net.edges, base, independence_fallback=independence_fallback)
-    return _gls_system(net, reference, blocks)
-
-
-def _gls_system(net: EvidenceNetwork, reference: str, blocks: Sequence[np.ndarray]) -> GlsSystem:
-    """y and X of a connected network slice, over its per-trial covariance blocks."""
     ref_idx = net.node_index(reference)
     return GlsSystem(
         y=np.array([c.md for c in net.edges]),
@@ -161,7 +146,12 @@ def _gls_system(net: EvidenceNetwork, reference: str, blocks: Sequence[np.ndarra
 def trial_blocks(
     contrasts: Sequence[ContrastEstimate], base: EvidenceBase, *, independence_fallback: bool = False
 ) -> list[np.ndarray]:
-    """Covariance blocks of the contrasts, grouped by trial in their order (see `assemble_gls`)."""
+    """Covariance blocks of the contrasts, grouped by trial in their order.
+
+    With `independence_fallback`, a multi-arm trial without arm-level data
+    degrades to a diagonal block instead of failing; the shared-arm
+    correlation is then ignored.
+    """
     blocks = []
     for trial_id, grouped in groupby(contrasts, key=lambda c: c.trial_id):
         group = list(grouped)

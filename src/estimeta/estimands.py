@@ -317,10 +317,6 @@ class MatchVerdict:
     warnings: tuple[str, ...]
     attributes: Mapping[str, AttributeCheck]  # read-only: equal verdict keys share a verdict
 
-    @property
-    def reasons(self) -> tuple[str, ...]:
-        return self.blockers + self.warnings
-
 
 def _verdict_key(est: Estimand, meta: MetaEstimand) -> tuple:
     """All `matches_meta` reads of `est` under `meta`, quoted display strings included."""
@@ -433,9 +429,6 @@ class AlignmentRow:
     label: str
     verdict: MatchVerdict
 
-    def cell(self, attribute: str) -> AttributeCheck:
-        return self.verdict.attributes.get(attribute, _OK)
-
 
 @dataclass(frozen=True)
 class AlignmentReport:
@@ -453,8 +446,8 @@ def heterogeneity_matrix(estimands: Sequence[Estimand], meta: MetaEstimand) -> A
     """Cross-trial alignment table against a target meta-estimand, one row per
     estimand, named by its label.
 
-    A feasibility report builds its own table, with rows named
-    "<trial>: <label>", from the verdicts its restriction already holds.
+    A feasibility report's table is its restriction's verdicts, rendered
+    by `pipeline.feasibility_to_dict` with rows named "<trial>: <label>".
     """
     rows = tuple(AlignmentRow(label=e.label, verdict=matches_meta(e, meta)) for e in estimands)
     if not rows:

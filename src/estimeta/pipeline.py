@@ -26,13 +26,11 @@ from .engine import (
     ComparisonResult,
     CovarianceError,
     NmaResult,
-    _gls_system,
+    assemble_gls,
     solve_fixed_effects,
     trial_blocks,
 )
 from .estimands import (
-    AlignmentReport,
-    AlignmentRow,
     EndpointSpec,
     Estimand,
     IntercurrentEventHandling,
@@ -101,8 +99,7 @@ class FeasibilityVerdict(enum.Enum):
 class FeasibilityReport:
     verdict: FeasibilityVerdict
     reasons: tuple[Reason, ...]
-    alignment: AlignmentReport
-    restriction: Restriction
+    restriction: Restriction  # its verdicts are the alignment table
     network: Optional[EvidenceNetwork]
     # per-trial covariance blocks of the network's contrasts, in row order; None
     # unless the network is connected and every block could be built
@@ -161,14 +158,13 @@ def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> 
 
 
 def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> FeasibilityReport:
-    """Compose restriction, alignment, connectivity, and covariance checks.
+    """Compose restriction, connectivity, and covariance checks.
 
-    The alignment rows ("<trial>: <label>") are the restriction's verdicts;
-    the covariance blocks built for the identifiability check are kept.
+    The alignment table is the restriction's verdicts, one per trial estimand
+    (`feasibility_to_dict` renders them); the covariance blocks built for the
+    identifiability check are kept.
     """
     restriction = restrict_evidence(base, meta, endpoint)
-    rows = [AlignmentRow(f"{tid}: {est.label}", v) for (tid, _), (est, v) in restriction.verdicts.items()]
-    alignment = AlignmentReport(meta_label=meta.label, rows=tuple(rows))
     reasons: list[Reason] = list(restriction.warnings)
     net: Optional[EvidenceNetwork] = None
     blocks: Optional[tuple[np.ndarray, ...]] = None
@@ -207,7 +203,6 @@ def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) ->
     return FeasibilityReport(
         verdict=verdict,
         reasons=tuple(reasons),
-        alignment=alignment,
         restriction=restriction,
         network=net,
         blocks=blocks,
@@ -229,11 +224,11 @@ def run_analysis(
 ) -> NmaResult:
     """Restrict, build, assemble and solve one slice; its `Restriction` is the provenance.
 
-    The GLS system is assembled once, from the blocks the feasibility report
-    kept.  Force mode downgrades a missing multi-arm covariance to an
-    independence approximation; it cannot rescue an empty or disconnected
-    slice, nor a trial whose block the fallback cannot build either, and such
-    a slice is infeasible whatever the reference.
+    The GLS system is assembled once, by `assemble_gls`, over the blocks the
+    feasibility report kept.  Force mode downgrades a missing multi-arm
+    covariance to an independence approximation; it cannot rescue an empty
+    or disconnected slice, nor a trial whose block the fallback cannot build
+    either, and such a slice is infeasible whatever the reference.
     """
     report = feasibility_report(base, meta, endpoint)
     if report.verdict is FeasibilityVerdict.INFEASIBLE:
@@ -255,7 +250,7 @@ def run_analysis(
             reasons = dict.fromkeys((*report.reasons, Reason("covariance_unidentifiable", "error", str(exc))))
             raise InfeasibleAnalysisError(replace(report, reasons=tuple(reasons))) from None
     ref = reference if reference is not None else default_reference(net)
-    result = solve_fixed_effects(_gls_system(net, ref, blocks), ci_level)
+    result = solve_fixed_effects(assemble_gls(net, ref, blocks), ci_level)
 
     notes = list(result.notes)
     for reason in report.reasons:
@@ -334,7 +329,11 @@ def compare_strategies(
 
 
 def feasibility_to_dict(report: FeasibilityReport) -> dict:
-    """Machine-readable feasibility report: verdict, reasons, alignment, provenance."""
+    """Machine-readable feasibility report: verdict, reasons, alignment, provenance.
+
+    The alignment rows, "<trial>: <label>", are the restriction's verdicts.
+    """
+    verdicts = report.restriction.verdicts
     return {
         "verdict": report.verdict.value,
         "reasons": [
@@ -342,18 +341,18 @@ def feasibility_to_dict(report: FeasibilityReport) -> dict:
             for r in report.reasons
         ],
         "alignment": {
-            "meta_label": report.alignment.meta_label,
-            "feasible": report.alignment.feasible,
+            "meta_label": report.restriction.meta.label,
+            "feasible": all(v.compatible for _, v in verdicts.values()),
             "rows": [
                 {
-                    "label": row.label,
-                    "compatible": row.verdict.compatible,
+                    "label": f"{tid}: {est.label}",
+                    "compatible": v.compatible,
                     "attributes": {
                         name: {"status": check.status, "detail": check.detail}
-                        for name, check in row.verdict.attributes.items()
+                        for name, check in v.attributes.items()
                     },
                 }
-                for row in report.alignment.rows
+                for (tid, _), (est, v) in verdicts.items()
             ],
         },
         "used": [
@@ -472,14 +471,20 @@ def resolve_meta(
     label: str,
     *,
     config: Optional["AnalysisConfig"] = None,
-    tolerance_weeks: int = 4,
-    mode: MatchingMode = MatchingMode.LENIENT,
+    tolerance_weeks: Optional[int] = None,
+    mode: Optional[MatchingMode] = None,
 ) -> MetaEstimand:
-    """Find a configured meta-estimand by label, or synthesize a pure-strategy one."""
+    """Find a configured meta-estimand by label, or synthesize a pure-strategy one.
+
+    A tolerance or mode given overrides the configured record's; one left as
+    None keeps the record's, or the default (4 weeks, lenient) when synthesizing.
+    """
+    policy = {"timepoint_tolerance_weeks": tolerance_weeks, "matching_mode": mode}
+    policy = {name: value for name, value in policy.items() if value is not None}
     if config is not None:
         meta = config.meta_for(label, endpoint)
         if meta is not None:
-            return meta
+            return replace(meta, **policy) if policy else meta
     try:
         strategy = IntercurrentEventStrategy.parse(label)
     except ValueError:
@@ -488,9 +493,9 @@ def resolve_meta(
         raise ValueError(
             f"unknown meta-estimand {label!r}: not configured and not a strategy token{hint}"
         ) from None
-    return synthesize_meta(
-        base, endpoint, strategy, label=label, tolerance_weeks=tolerance_weeks, mode=mode
-    )
+    tolerance = 4 if tolerance_weeks is None else tolerance_weeks
+    mode = MatchingMode.LENIENT if mode is None else mode
+    return synthesize_meta(base, endpoint, strategy, label=label, tolerance_weeks=tolerance, mode=mode)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from conftest import (
     random_connected_base,
 )
 from estimeta.cli import main
-from estimeta.engine import assemble_gls, solve_fixed_effects
+from estimeta.engine import assemble_gls, solve_fixed_effects, trial_blocks
 from estimeta.estimands import IntercurrentEventStrategy, matches_meta
 from estimeta.ingest import (
     ContrastEstimate,
@@ -135,7 +135,7 @@ def test_gls_oracle_equivalence(corpus):
     three_arm_seen = False
     for base in corpus:
         net = build_network(base.contrasts)
-        system = assemble_gls(net, base, net.nodes[0])
+        system = assemble_gls(net, net.nodes[0], trial_blocks(net.edges, base))
         result = solve_fixed_effects(system)
         theta, cov = gls_brute(system.y, system.design, system.sigma)
         np.testing.assert_allclose(result.estimates, theta, rtol=1e-8, atol=1e-11)
@@ -152,7 +152,7 @@ def test_reference_invariance(corpus):
         net = build_network(base.contrasts)
         baseline = None
         for ref in net.nodes:
-            result = solve_fixed_effects(assemble_gls(net, base, ref))
+            result = solve_fixed_effects(assemble_gls(net, ref, trial_blocks(net.edges, base)))
             if baseline is None:
                 baseline = result.comparisons
                 continue

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import estimeta as em
-from conftest import TWO_ESTIMANDS_CSV
+from conftest import DULA_15, HBA1C, TWO_ESTIMANDS_CSV
 from estimeta.cli import main
 from estimeta.ingest import EvidenceBase, serialize_evidence
 
@@ -280,6 +280,84 @@ class TestPlanFileFaults:
                      "--config", str(path)])
         assert code == 1
         assert "no intercurrent event is handled by composite" in capsys.readouterr().err
+
+
+SLICE_ARGV = {
+    "analyze": ["analyze", "--input", CASE, "--estimand", "hypothetical", "--endpoint", "hba1c"],
+    "compare": ["compare", "--input", CASE, "--estimands", "hypothetical", "treatment_policy",
+                "--endpoint", "hba1c"],
+}
+
+
+class TestEmptyOptionValues:
+    """An option given the empty string takes that value; it is not the option left out."""
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("planned", [False, True])
+    def test_empty_reference_is_an_unknown_treatment(self, command, planned, tmp_path, capsys):
+        plan = []
+        if planned:  # a plan's reference does not stand in for the one given
+            path = tmp_path / "plan.json"
+            path.write_text(json.dumps({"meta_estimands": [_SHORTHAND], "reference": DULA_15}), encoding="utf-8")
+            plan = ["--config", str(path)]
+        assert main([*SLICE_ARGV[command], *plan, "--reference", ""]) == 1
+        out = capsys.readouterr()
+        assert "unknown treatment ''" in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_empty_config_is_a_missing_plan(self, command, capsys):
+        assert main([*SLICE_ARGV[command], "--config", ""]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("data error: ")
+        assert out.out == ""
+
+    @pytest.mark.parametrize("argv", [["validate", "--input", CASE], *SLICE_ARGV.values()],
+                             ids=["validate", *SLICE_ARGV])
+    def test_empty_output_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--output", ""]) == 1
+        out = capsys.readouterr()
+        assert out.err == "usage error: --output must name a file, got ''\n"
+        assert out.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestMatchingFlagsOverPlan:
+    """--tolerance, --strict and --lenient override a configured record's matching policy."""
+
+    @pytest.fixture
+    def plan(self, tmp_path):
+        def write(**policy):
+            path = tmp_path / "plan.json"
+            record = {"label": "hyp", "strategy": "hypothetical", **policy}
+            path.write_text(json.dumps({"meta_estimands": [record], "endpoints": [HBA1C]}),
+                            encoding="utf-8")
+            return ["--input", CASE, "--endpoint", "hba1c", "--estimand", "hyp", "--config", str(path)]
+
+        return write
+
+    @staticmethod
+    def used(capsys) -> str:
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if "contrasts used" in line]
+        return line.split(": ")[1]
+
+    def test_analyze_flags_take_precedence(self, plan, capsys):
+        argv = ["analyze", *plan()]
+        for flags, used in [([], 4), (["--strict"], 3), (["--tolerance", "0"], 2),
+                            (["--tolerance", "0", "--strict"], 1)]:
+            assert main([*argv, *flags]) == 0
+            assert self.used(capsys) == f"{used} contrasts used, {16 - used} excluded", flags
+
+    def test_flags_left_out_keep_the_record_policy(self, plan, capsys):
+        argv = ["analyze", *plan(timepoint_tolerance_weeks=0, matching_mode="strict")]
+        for flags, used in [([], 1), (["--lenient"], 2), (["--lenient", "--tolerance", "4"], 4)]:
+            assert main([*argv, *flags]) == 0
+            assert self.used(capsys) == f"{used} contrasts used, {16 - used} excluded", flags
+
+    def test_network_flags_take_precedence(self, plan, capsys):
+        assert main(["network", *plan(), "--tolerance", "0", "--strict"]) == 0
+        assert "2 treatments, 1 comparisons, connected" in capsys.readouterr().err
 
 
 class TestOutputDeterminism:

@@ -34,6 +34,7 @@ from estimeta.engine import (
     comparison,
     league_table,
     solve_fixed_effects,
+    trial_blocks,
     trial_covariance,
 )
 from estimeta.estimands import IntercurrentEventStrategy, canonical
@@ -60,7 +61,7 @@ def contrast(trial, t, c, md, se, endpoint="outcome"):
 def solve_base(base, reference=None, ci_level=0.95):
     net = build_network(base.contrasts)
     reference = reference or min(net.nodes, key=canonical)
-    return solve_fixed_effects(assemble_gls(net, base, reference), ci_level)
+    return solve_fixed_effects(assemble_gls(net, reference, trial_blocks(net.edges, base)), ci_level)
 
 
 class TestTrialCovariance:
@@ -119,7 +120,7 @@ class TestAssemble:
     def test_case_study_dimensions(self, case_base):
         meta = synthesize_meta(case_base, HBA1C, IntercurrentEventStrategy.HYPOTHETICAL)
         net = build_network(restrict_evidence(case_base, meta, HBA1C).used)
-        system = assemble_gls(net, case_base, DULA_15)
+        system = assemble_gls(net, DULA_15, trial_blocks(net.edges, case_base))
         assert system.y.shape == (4,)
         assert system.design.shape == (4, 4)
         assert system.sigma.shape == (4, 4)
@@ -130,7 +131,7 @@ class TestAssemble:
     def test_award_block_correlated(self, case_base):
         meta = synthesize_meta(case_base, HBA1C, IntercurrentEventStrategy.HYPOTHETICAL)
         net = build_network(restrict_evidence(case_base, meta, HBA1C).used)
-        system = assemble_gls(net, case_base, DULA_15)
+        system = assemble_gls(net, DULA_15, trial_blocks(net.edges, case_base))
         award_rows = [i for i, c in enumerate(system.contrasts) if c.trial_id == "AWARD-11"]
         i, j = award_rows
         shared = case_base.arm_summary("AWARD-11", "efficacy", HBA1C, DULA_15).variance
@@ -139,7 +140,7 @@ class TestAssemble:
     def test_single_trial_design(self):
         base = synthetic_base([("T1", ["A", "B"], [0.04, 0.04], [1.0])])
         net = build_network(base.contrasts)
-        system = assemble_gls(net, base, "A")
+        system = assemble_gls(net, "A", trial_blocks(net.edges, base))
         assert system.design.tolist() == [[1.0]]
         assert system.parameters == ("B",)
 
@@ -149,20 +150,20 @@ class TestAssemble:
         )
         net = build_network(base.contrasts)
         with pytest.raises(DisconnectedNetworkError):
-            assemble_gls(net, base, "A")
+            assemble_gls(net, "A", trial_blocks(net.edges, base))
 
     def test_unknown_reference_rejected(self):
         base = synthetic_base([("T1", ["A", "B"], [0.04, 0.04], [1.0])])
         net = build_network(base.contrasts)
         with pytest.raises(Exception, match="unknown treatment"):
-            assemble_gls(net, base, "Z")
+            assemble_gls(net, "Z", trial_blocks(net.edges, base))
 
 
 class TestSolveExamples:
     def test_single_study_identity(self):
         net = build_network([contrast("T1", "A", "B", md=-0.8, se=0.25)])
         base = synthetic_base([("T1", ["B", "A"], [0.03, 0.03], [-0.8])])
-        system = assemble_gls(net, base, "B")
+        system = assemble_gls(net, "B", trial_blocks(net.edges, base))
         result = solve_fixed_effects(system)
         assert result.estimates == pytest.approx([-0.8])
         np.testing.assert_allclose(result.covariance, [[0.25**2]], rtol=1e-12)
@@ -172,7 +173,7 @@ class TestSolveExamples:
             [contrast("T1", "A", "B", md=0.0, se=1.0), contrast("T2", "A", "B", md=2.0, se=1.0)]
         )
         base = synthetic_base([])
-        system = assemble_gls(net, base, "B")
+        system = assemble_gls(net, "B", trial_blocks(net.edges, base))
         result = solve_fixed_effects(system)
         pooled = comparison(result, "A", "B")
         assert pooled.md == pytest.approx(1.0, abs=1e-12)
@@ -182,7 +183,7 @@ class TestSolveExamples:
         net = build_network(
             [contrast("T1", "A", "B", md=1.0, se=1.0), contrast("T2", "B", "C", md=1.0, se=1.0)]
         )
-        system = assemble_gls(net, synthetic_base([]), "C")
+        system = assemble_gls(net, "C", trial_blocks(net.edges, synthetic_base([])))
         result = solve_fixed_effects(system)
         indirect = comparison(result, "A", "C")
         assert indirect.md == pytest.approx(2.0, abs=1e-12)
@@ -196,7 +197,7 @@ class TestSolveExamples:
 def result(case_base):
     meta = synthesize_meta(case_base, HBA1C, IntercurrentEventStrategy.HYPOTHETICAL)
     net = build_network(restrict_evidence(case_base, meta, HBA1C).used)
-    return solve_fixed_effects(assemble_gls(net, case_base, DULA_15))
+    return solve_fixed_effects(assemble_gls(net, DULA_15, trial_blocks(net.edges, case_base)))
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +255,7 @@ class TestRandomizedProperties:
     def test_matches_brute_force_oracle(self, corpus):
         for base in corpus:
             net = build_network(base.contrasts)
-            system = assemble_gls(net, base, net.nodes[0])
+            system = assemble_gls(net, net.nodes[0], trial_blocks(net.edges, base))
             result = solve_fixed_effects(system)
             theta, cov = gls_brute(system.y, system.design, system.sigma)
             np.testing.assert_allclose(result.estimates, theta, rtol=1e-8, atol=1e-11)
@@ -276,9 +277,8 @@ class TestRandomizedProperties:
     def test_reference_invariance(self, corpus):
         for base in corpus[:40]:
             net = build_network(base.contrasts)
-            results = [
-                solve_fixed_effects(assemble_gls(net, base, ref)) for ref in net.nodes
-            ]
+            blocks = trial_blocks(net.edges, base)
+            results = [solve_fixed_effects(assemble_gls(net, ref, blocks)) for ref in net.nodes]
             baseline = results[0].comparisons
             for other in results[1:]:
                 for key, c in baseline.items():
@@ -342,7 +342,7 @@ class TestRandomizedProperties:
         for base in corpus:
             net = build_network(base.contrasts)
             for ref in net.nodes:
-                result = solve_fixed_effects(assemble_gls(net, base, ref))
+                result = solve_fixed_effects(assemble_gls(net, ref, trial_blocks(net.edges, base)))
                 table = league_table(result)
                 pairs = [(a, b) for a in net.nodes for b in net.nodes if a != b]
                 assert [(c.treatment, c.comparator) for c in table] == pairs
@@ -365,7 +365,7 @@ class TestRandomizedProperties:
             if any(len(t.arms) != 2 for t in base.trials.values()):
                 continue  # pseudoinverse route assumes a diagonal covariance
             net = build_network(base.contrasts)
-            system = assemble_gls(net, base, net.nodes[0])
+            system = assemble_gls(net, net.nodes[0], trial_blocks(net.edges, base))
             result = solve_fixed_effects(system)
 
             n = len(net.nodes)
@@ -396,7 +396,7 @@ class TestConditioning:
         net = build_network(
             [contrast("T1", "A", "B", md=1.0, se=3e-3), contrast("T2", "B", "C", md=1.0, se=3e2)]
         )
-        result = solve_fixed_effects(assemble_gls(net, synthetic_base([]), "A"))
+        result = solve_fixed_effects(assemble_gls(net, "A", trial_blocks(net.edges, synthetic_base([]))))
         assert 1e8 < result.condition_number < 1e12
         assert any("ill-conditioned" in note for note in result.notes)
 
@@ -422,7 +422,7 @@ class TestConditioning:
             [contrast("T1", "A", "B", md=1.0, se=1e-8), contrast("T2", "B", "C", md=1.0, se=1e8)]
         )
         with pytest.raises(ConnectivityCheckError):
-            assemble_gls(net, synthetic_base([]), "A")
+            assemble_gls(net, "A", trial_blocks(net.edges, synthetic_base([])))
 
 
 class TestBlockWhitening:
@@ -454,7 +454,8 @@ class TestBlockWhitening:
         )
         tracemalloc.start()
         try:
-            result = solve_fixed_effects(assemble_gls(net, synthetic_base([]), names[0]))
+            blocks = trial_blocks(net.edges, synthetic_base([]))
+            result = solve_fixed_effects(assemble_gls(net, names[0], blocks))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -171,8 +171,9 @@ class TestFeasibility:
 
     def test_alignment_rows_cover_both_labels(self, case_base, hyp_meta):
         report = feasibility_report(case_base, hyp_meta, HBA1C)
-        assert len(report.alignment.rows) == 6
-        compatible = [row.label for row in report.alignment.rows if row.verdict.compatible]
+        assert len(report.restriction.verdicts) == 6
+        compatible = [f"{tid}: {est.label}" for (tid, _), (est, v) in report.restriction.verdicts.items()
+                      if v.compatible]
         assert sorted(compatible) == [
             "AWARD-11: efficacy",
             "SUSTAIN 7: de-jure",
@@ -191,7 +192,7 @@ class TestFeasibility:
             monkeypatch.setattr(module, "matches_meta", counted)
         report = feasibility_report(case_base, hyp_meta, HBA1C)
         assert len(calls) == len({id(e) for e in calls}) == 6
-        assert len(report.alignment.rows) == 6
+        assert len(report.restriction.verdicts) == 6
 
 
 @pytest.fixture(scope="module")
@@ -692,6 +693,16 @@ class TestConfig:
         )
         meta = resolve_meta(case_base, HBA1C, "hypothetical", config=config)
         assert meta.timepoint_tolerance_weeks == 9
+
+    def test_resolve_meta_policy_given_overrides_the_record(self, case_base):
+        config = load_config(
+            {"meta_estimands": [{"label": "hypothetical", "strategy": "hypothetical",
+                                 "timepoint_tolerance_weeks": 9}]},
+            case_base,
+        )
+        meta = resolve_meta(case_base, HBA1C, "hypothetical", config=config, mode=MatchingMode.STRICT)
+        assert (meta.timepoint_tolerance_weeks, meta.matching_mode) == (9, MatchingMode.STRICT)
+        assert meta == resolve_meta(case_base, HBA1C, "hypothetical", tolerance_weeks=9, mode=MatchingMode.STRICT)
 
     def test_resolve_meta_unknown_label(self, case_base):
         with pytest.raises(ValueError, match="unknown meta-estimand"):
