@@ -253,6 +253,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_network(args) -> int:
+    if args.estimand is None:  # without a target every contrast is kept, and nothing is matched
+        given = {"--config": args.config is not None, "--tolerance": args.tolerance is not None,
+                 "--strict": args.strict, "--lenient": args.lenient}
+        if flags := [flag for flag, on in given.items() if on]:
+            raise UsageError(f"matching flags need --estimand: {', '.join(flags)}")
     base, config = _load_context(args)
     tolerance, mode = _matching_args(args)
     if args.endpoint is not None or len(base.endpoint_keys()) == 1:

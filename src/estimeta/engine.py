@@ -9,8 +9,9 @@ The design X is the network's signed incidence matrix without the
 reference's column.  The solve whitens each trial's rows by the Cholesky
 factor of its block and uses QR on the whitened design; neither the dense
 covariance (built only on demand, as `GlsSystem.sigma`) nor its inverse is
-formed.  Each solve computes its league table once, over whole arrays,
-from the estimates and their covariance alone.
+formed.  The singular values of the whitened design's R are a slice's one
+numeric verdict (assembly checks connectivity by traversal alone).  Each
+solve computes its league table once, from the estimates and their covariance.
 
 A slice's blocks are built once, by `trial_blocks`, from the caller's
 evidence base: the feasibility report keeps them, and `assemble_gls`, the
@@ -27,7 +28,7 @@ import numpy as np
 
 from .estimands import canonical
 from .ingest import ContrastEstimate, EvidenceBase
-from .network import EvidenceNetwork, incidence
+from .network import EvidenceNetwork, connected_components, incidence
 from .normal import z_for_level
 
 CONDITION_ERROR = 1e12
@@ -127,9 +128,9 @@ def assemble_gls(net: EvidenceNetwork, reference: str, blocks: Sequence[np.ndarr
 
     Row order is the network's deterministic contrast order (trial id,
     treatment, comparator); `blocks` are those `trial_blocks(net.edges, base)`
-    returns, in the same order.
+    returns, in the same order.  Connectivity is checked by traversal alone.
     """
-    if not net.connected:  # the verdict `is_connected` decided, or decided here and kept
+    if len(connected_components(net)) != 1:
         raise DisconnectedNetworkError("evidence network is disconnected")
     ref_idx = net.node_index(reference)
     return GlsSystem(
@@ -243,12 +244,12 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
     singular_values = np.linalg.svd(r, compute_uv=False)
     if singular_values[-1] == 0.0:
         raise NumericalError("design matrix is rank deficient (disconnected network?)")
-    condition = float((singular_values[0] / singular_values[-1]) ** 2)
-    if condition > CONDITION_ERROR:
+    # s_min / s_max < 1e-6 is a condition number above 1e12, tested unsquared so nothing overflows
+    if singular_values[-1] / singular_values[0] < CONDITION_ERROR**-0.5:
         raise NumericalError(
-            f"normal equations too ill-conditioned: condition number {condition:.3e} "
-            f"exceeds {CONDITION_ERROR:.0e}"
+            f"normal equations too ill-conditioned: condition number exceeds {CONDITION_ERROR:.0e}"
         )
+    condition = float((singular_values[0] / singular_values[-1]) ** 2)
     notes: tuple[str, ...] = ()
     if condition > CONDITION_WARNING:
         notes = (f"ill-conditioned normal equations (condition number {condition:.3e})",)

@@ -48,11 +48,12 @@ def se_from_ci(lower: float, upper: float, level: float = 0.95) -> float:
     se = (upper - lower) / (2 z), with z the standard-normal quantile at
     (1 + level) / 2.
     """
+    z = z_for_level(level)
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise ValueError(f"confidence bounds must be finite, got ({lower!r}, {upper!r})")
     if lower >= upper:
         raise ValueError(f"ci_lower must be below ci_upper, got ({lower!r}, {upper!r})")
-    return (upper - lower) / (2.0 * z_for_level(level))
+    return (upper - lower) / (2.0 * z)
 
 
 def _check_se(se: float, what: str) -> None:
@@ -125,8 +126,6 @@ class ArmSummary:
         _coerce(self, _number, "mean_change", "ci_lower", "ci_upper", "ci_level")
         if self.n_randomized < 1:
             raise ValueError(f"n_randomized must be >= 1, got {self.n_randomized}")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError(f"ci_level must lie in (0, 1), got {self.ci_level}")
         object.__setattr__(self, "se", se_from_ci(self.ci_lower, self.ci_upper, self.ci_level))
         _check_se(self.se, "the se implied by ci_lower and ci_upper")
 

@@ -3,11 +3,11 @@
 Treatments are nodes; the slice's contrasts are the edges, weighted 1/se^2,
 their node indices read off their own treatment and comparator keys (parallel
 edges are kept, since each carries independent evidence).  One signed
-incidence matrix (edges x nodes) underlies the weighted Laplacian, the rank
-check and the engine's GLS design.  Connectivity is decided once per network,
-twice over -- by breadth-first traversal and by the rank of the
-inverse-variance-weighted Laplacian, taken as the rank of its square root,
-the sqrt-weight-scaled incidence matrix -- and the two answers must agree.
+incidence matrix (edges x nodes) underlies the rank check and the engine's
+GLS design.  An analysis decides connectivity by breadth-first traversal
+alone and leaves the numerics to the solve; `is_connected`, for a caller
+that does not solve, also checks the rank of the sqrt-weight-scaled
+incidence matrix, and the two answers must agree.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import csv
 import io
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -55,20 +54,6 @@ class EvidenceNetwork:
             raise NetworkError(f"unknown treatment {treatment!r}")
         return i
 
-    @cached_property
-    def connected(self) -> bool:
-        """Connectivity verdict, decided on first use and kept (see `is_connected`)."""
-        if not self.nodes:
-            raise NetworkError("network has no nodes")
-        by_traversal = len(connected_components(self)) == 1
-        by_rank = laplacian_connected(self)
-        if by_traversal != by_rank:
-            raise ConnectivityCheckError(
-                f"connectivity checks disagree (traversal={by_traversal}, laplacian={by_rank}); "
-                "edge weights span too many orders of magnitude"
-            )
-        return by_traversal
-
 
 def build_network(contrasts: Sequence[ContrastEstimate]) -> EvidenceNetwork:
     """Build the slice graph; deterministic regardless of input order."""
@@ -96,13 +81,6 @@ def incidence(net: EvidenceNetwork) -> np.ndarray:
     for row, (u, v) in enumerate(net.ends):
         matrix[row, u], matrix[row, v] = 1.0, -1.0
     return matrix
-
-
-def laplacian(net: EvidenceNetwork) -> np.ndarray:
-    """Weighted graph Laplacian B'WB, edge weights 1/se^2."""
-    b = incidence(net)
-    weights = np.array([_weight(e) for e in net.edges])
-    return b.T @ (weights[:, None] * b)
 
 
 def laplacian_connected(net: EvidenceNetwork) -> bool:
@@ -160,11 +138,19 @@ def connected_components(net: EvidenceNetwork) -> tuple[tuple[str, ...], ...]:
 def is_connected(net: EvidenceNetwork) -> bool:
     """True iff one undirected component spans all nodes.
 
-    Computed by traversal and cross-checked against the Laplacian rank
-    criterion; a disagreement indicates a numerical problem and raises.
-    The verdict is decided once per network and kept.
+    Computed by traversal and cross-checked against the Laplacian rank, for
+    a caller with no solve to catch degenerate weights: a disagreement raises.
     """
-    return net.connected
+    if not net.nodes:
+        raise NetworkError("network has no nodes")
+    by_traversal = len(connected_components(net)) == 1
+    by_rank = laplacian_connected(net)
+    if by_traversal != by_rank:
+        raise ConnectivityCheckError(
+            f"connectivity checks disagree (traversal={by_traversal}, laplacian={by_rank}); "
+            "edge weights span too many orders of magnitude"
+        )
+    return by_traversal
 
 
 def anchoring_path(net: EvidenceNetwork, a: str, b: str) -> Optional[tuple[ContrastEstimate, ...]]:

@@ -23,7 +23,8 @@ def normal_quantile(p: float) -> float:
 
 
 def z_for_level(level: float) -> float:
-    """Two-sided critical value for a confidence level in (0, 1)."""
-    if not math.isfinite(level) or not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {level!r}")
+    """Two-sided critical value for a confidence level in (0, 1) whose z is positive."""
+    # below about 1.1e-16, (1 + level) / 2 rounds to 1/2: z = 0, an interval of no width
+    if not math.isfinite(level) or not 0.0 < level < 1.0 or (1.0 + level) / 2.0 == 0.5:
+        raise ValueError(f"confidence level (ci_level) must lie in (0, 1) with a positive z, got {level!r}")
     return normal_quantile((1.0 + level) / 2.0)

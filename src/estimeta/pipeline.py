@@ -44,7 +44,8 @@ from .estimands import (
 )
 from .ingest import ContrastEstimate, EvidenceBase
 from .ingest import _estimand, _field, _integer, _json_object, _located, _names, _number, _objects, _text
-from .network import EvidenceNetwork, build_network, connected_components, is_connected
+from .network import EvidenceNetwork, build_network, connected_components
+from .normal import z_for_level
 
 _WARNING_CODES = {
     "population": "population_differs",
@@ -160,9 +161,10 @@ def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> 
 def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> FeasibilityReport:
     """Compose restriction, connectivity, and covariance checks.
 
-    The alignment table is the restriction's verdicts, one per trial estimand
-    (`feasibility_to_dict` renders them); the covariance blocks built for the
-    identifiability check are kept.
+    Connectivity is decided by traversal, so no edge weights make the report
+    raise.  The alignment table is the restriction's verdicts, one per trial
+    estimand (`feasibility_to_dict` renders them); the covariance blocks built
+    for the identifiability check are kept.
     """
     restriction = restrict_evidence(base, meta, endpoint)
     reasons: list[Reason] = list(restriction.warnings)
@@ -174,8 +176,7 @@ def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) ->
         reasons.append(Reason("no_evidence", "error", message))
     else:
         net = build_network(restriction.used)
-        if not is_connected(net):
-            parts = connected_components(net)
+        if len(parts := connected_components(net)) > 1:
             listed = "; ".join("{" + ", ".join(p) + "}" for p in parts)
             reasons.append(
                 Reason("disconnected", "error", f"evidence network is disconnected: {listed}")
@@ -512,8 +513,7 @@ class AnalysisConfig:
             raise ValueError("config declares no meta-estimands")
         if not self.endpoints:
             raise ValueError("config declares no endpoints")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError(f"ci_level must lie in (0, 1), got {self.ci_level}")
+        z_for_level(self.ci_level)  # refuses a level outside (0, 1), or one whose z is 0
 
     def meta_for(self, label: str, endpoint: str) -> Optional[MetaEstimand]:
         key, lab = canonical(endpoint), canonical(label)

@@ -90,6 +90,16 @@ class TestNetwork:
         assert main(["network", "--input", CASE, "--endpoint", "hba1c", "--estimand", ""]) == 1
         assert "unknown meta-estimand ''" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--tolerance", "0"], ["--strict"], ["--lenient"], ["--config", ""]],
+                             ids=["tolerance", "strict", "lenient", "config"])
+    def test_matching_flag_without_estimand_usage_error(self, flag, tmp_path, capsys):
+        out = tmp_path / "edges.csv"
+        code = main(["network", "--input", CASE, "--endpoint", "hba1c", "--output", str(out), *flag])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert f"usage error: matching flags need --estimand: {flag[0]}" in captured.err
+
     @pytest.mark.parametrize("command", ["network", "analyze"])
     @pytest.mark.parametrize("endpoint", ["", "  "])
     @pytest.mark.parametrize("one_endpoint", [False, True])
@@ -126,24 +136,31 @@ class TestAnalyze:
         assert code == 3
         assert "disconnected" in capsys.readouterr().err
 
+    DEGENERATE = (
+        "#trials\ntrial_id,arms\nT1,A;B\nT2,B;C\n"
+        "#estimands\n"
+        "trial_id,label,population,endpoint_name,units,timepoint_weeks,summary_measure,ie_handlings\n"
+        "T1,primary,adults,outcome,u,12,mean_difference,dropout:hypothetical\n"
+        "T2,primary,adults,outcome,u,12,mean_difference,dropout:hypothetical\n"
+        "#contrasts\n"
+        "trial_id,estimand_label,endpoint_name,treatment,comparator,md,se,ci_lower,ci_upper,ci_level\n"
+        "T1,primary,outcome,A,B,1.0,1e-8,,,\n"
+        "T2,primary,outcome,B,C,1.0,1e8,,,\n"
+    )
+
     def test_numerical_failure_exit_four(self, tmp_path, capsys):
-        text = (
-            "#trials\ntrial_id,arms\nT1,A;B\nT2,B;C\n"
-            "#estimands\n"
-            "trial_id,label,population,endpoint_name,units,timepoint_weeks,summary_measure,ie_handlings\n"
-            "T1,primary,adults,outcome,u,12,mean_difference,dropout:hypothetical\n"
-            "T2,primary,adults,outcome,u,12,mean_difference,dropout:hypothetical\n"
-            "#contrasts\n"
-            "trial_id,estimand_label,endpoint_name,treatment,comparator,md,se,ci_lower,ci_upper,ci_level\n"
-            "T1,primary,outcome,A,B,1.0,1e-8,,,\n"
-            "T2,primary,outcome,B,C,1.0,1e8,,,\n"
-        )
         path = tmp_path / "degenerate.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(self.DEGENERATE, encoding="utf-8")
         code = main(["analyze", "--input", str(path), "--estimand", "hypothetical",
                      "--endpoint", "outcome"])
         assert code == 4
-        assert "numerical failure" in capsys.readouterr().err
+        assert "numerical failure: normal equations too ill-conditioned" in capsys.readouterr().err
+
+    def test_network_cross_checks_degenerate_weights(self, tmp_path, capsys):
+        path = tmp_path / "degenerate.csv"
+        path.write_text(self.DEGENERATE, encoding="utf-8")
+        assert main(["network", "--input", str(path), "--endpoint", "outcome"]) == 4
+        assert "numerical failure: connectivity checks disagree" in capsys.readouterr().err
 
     def test_unknown_estimand_usage_error(self, capsys):
         code = main(["analyze", "--input", CASE, "--estimand", "bogus", "--endpoint", "hba1c"])
@@ -467,7 +484,7 @@ class TestJsonInput:
 class TestCiLevel:
     """An explicit --ci-level is used as given, so an invalid one is a usage error."""
 
-    @pytest.mark.parametrize("level", ["0", "1", "1.5"])
+    @pytest.mark.parametrize("level", ["0", "1", "1.5", "1e-300"])
     def test_analyze_rejects_invalid_level(self, level, capsys):
         code = main(["analyze", "--input", CASE, "--estimand", "hypothetical",
                      "--endpoint", "hba1c", "--ci-level", level])

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from estimeta.engine import (
 )
 from estimeta.estimands import IntercurrentEventStrategy, canonical
 from estimeta.ingest import ContrastEstimate, TrialRecord, UncertaintySource
-from estimeta.network import ConnectivityCheckError, build_network
+from estimeta.network import ConnectivityCheckError, build_network, is_connected
 from estimeta.pipeline import restrict_evidence, run_analysis, synthesize_meta
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -421,8 +422,22 @@ class TestConditioning:
         net = build_network(
             [contrast("T1", "A", "B", md=1.0, se=1e-8), contrast("T2", "B", "C", md=1.0, se=1e8)]
         )
+        system = assemble_gls(net, "A", trial_blocks(net.edges, synthetic_base([])))  # connected by traversal
+        with pytest.raises(NumericalError, match="condition number"):
+            solve_fixed_effects(system)
         with pytest.raises(ConnectivityCheckError):
-            assemble_gls(net, "A", trial_blocks(net.edges, synthetic_base([])))
+            is_connected(net)
+
+    def test_extreme_spread_refused_without_overflow(self):
+        # (s_max / s_min)^2 is about 1e400 here: squared, it would overflow to inf with a warning
+        net = build_network(
+            [contrast("T1", "A", "B", md=1.0, se=1e-100), contrast("T2", "B", "C", md=1.0, se=1e100)]
+        )
+        system = assemble_gls(net, "A", trial_blocks(net.edges, synthetic_base([])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"condition number exceeds 1e\+12"):
+                solve_fixed_effects(system)
 
 
 class TestBlockWhitening:

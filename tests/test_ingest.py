@@ -400,8 +400,14 @@ class TestFormatParity:
         assert parse_json_doc(doc) == parse_evidence_text(PARITY_CSV.replace(",u,12,", ",u,12.0,"))
 
     def test_csv_rejects_zero_arm_ci_level(self):
-        text = PARITY_CSV.replace("-0.4,0.4,0.95", "-0.4,0.4,0")
-        with pytest.raises(EvidenceFormatError, match=r"line 14.*ci_level"):
+        for level in ("0", "1e-300"):  # 1e-300 lies in (0, 1), but its z rounds to 0
+            text = PARITY_CSV.replace("-0.4,0.4,0.95", f"-0.4,0.4,{level}")
+            with pytest.raises(EvidenceFormatError, match=r"line 14.*ci_level"):
+                parse_evidence_text(text)
+
+    def test_csv_rejects_vanishing_contrast_ci_level(self):
+        text = PARITY_CSV.replace("0.1,0.9,0.9", "0.1,0.9,1e-300")
+        with pytest.raises(EvidenceFormatError, match=r"line 10: confidence level \(ci_level\)"):
             parse_evidence_text(text)
 
     def test_json_rejects_zero_arm_ci_level(self):

@@ -26,7 +26,6 @@ from estimeta.network import (
     connected_components,
     export_edge_list,
     is_connected,
-    laplacian,
     laplacian_connected,
 )
 from estimeta.pipeline import restrict_evidence, run_analysis, synthesize_meta
@@ -131,13 +130,6 @@ class TestConnectivity:
         net = EvidenceNetwork(nodes=("A",), edges=())
         assert is_connected(net)
         assert connected_components(net) == (("A",),)
-
-    def test_laplacian_structure(self, case_network):
-        lap = laplacian(case_network)
-        assert np.allclose(lap, lap.T)
-        assert np.allclose(lap.sum(axis=1), 0.0)
-        total_weight = sum(1.0 / e.se**2 for e in case_network.edges)
-        assert np.trace(lap) == pytest.approx(2.0 * total_weight, rel=1e-12)
 
     def test_laplacian_agrees_with_union_find_oracle(self):
         rng = np.random.default_rng(20240817)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -391,7 +392,7 @@ class TestRunAnalysis:
         run_analysis(stripped, hyp_meta, HBA1C, force=True)  # the independence fallback's blocks
         assert len(calls) == 0
 
-    def test_connectivity_decided_once_per_slice(self, case_base, hyp_meta, monkeypatch):
+    def test_no_rank_check_on_the_analysis_path(self, case_base, hyp_meta, monkeypatch):
         calls = []
         original = network.laplacian_connected
 
@@ -400,8 +401,9 @@ class TestRunAnalysis:
             return original(net)
 
         monkeypatch.setattr(network, "laplacian_connected", counted)
+        feasibility_report(case_base, hyp_meta, HBA1C)
         run_analysis(case_base, hyp_meta, HBA1C)
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_covariance_blocks_built_once_per_slice(self, case_base, hyp_meta, monkeypatch):
         calls = []
@@ -505,6 +507,34 @@ class TestIdentifiability:
         with pytest.raises(InfeasibleAnalysisError, match="linearly dependent") as raised:
             run_analysis(base, meta, "outcome", force=True)
         assert [r.code for r in raised.value.report.reasons] == ["covariance_unidentifiable"] * 2
+
+
+class TestOneNumericVerdict:
+    """Connectivity is decided by traversal; the solve alone judges the weights."""
+
+    def test_wide_weight_networks_are_solved_or_refused_by_the_solve(self):
+        rng = np.random.default_rng(20261018)
+        outcomes = Counter()
+        for _ in range(400):
+            nodes = [f"T{i}" for i in range(int(rng.integers(2, 9)))]
+            pairs = [nodes[i : i + 2] for i in range(len(nodes) - 1)]  # spanning chain
+            pairs += [list(rng.choice(nodes, size=2, replace=False)) for _ in range(rng.integers(0, len(nodes)))]
+            ses = 10.0 ** rng.uniform(-75.0, 75.0, size=len(pairs))  # log-uniform, all admissible
+            base = synthetic_base(
+                [(f"trial-{j}", arms, [se**2 / 2] * 2, [float(rng.normal())])
+                 for j, (arms, se) in enumerate(zip(pairs, ses))]
+            )
+            meta = synthesize_meta(base, "outcome", HYP)
+            report = feasibility_report(base, meta, "outcome")  # never raises on the weights
+            assert "disconnected" not in [r.code for r in report.reasons]
+            try:
+                run_analysis(base, meta, "outcome")
+            except engine.NumericalError:
+                outcomes["refused"] += 1
+            else:  # the rank check refuses nothing that the solve would solve
+                outcomes["solved"] += 1
+                assert network.laplacian_connected(report.network)
+        assert outcomes["solved"] > 0 and outcomes["refused"] > 0
 
 
 @pytest.fixture(scope="module")
