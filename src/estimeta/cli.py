@@ -318,19 +318,21 @@ def _render_league(result: NmaResult, fmt: str) -> str:
 
 
 def _run_slices(args, labels: Sequence[str]) -> tuple[str, float, dict[str, NmaResult]]:
-    """Resolve the endpoint and each meta-estimand label, and run one slice per label."""
+    """Resolve the endpoint and each meta-estimand label, then run one slice per label."""
     base, config = _load_context(args)
     endpoint = _resolve_endpoint(base, args.endpoint)
     tolerance, mode = _matching_args(args)
     reference = args.reference if args.reference is not None else config.reference if config else None
     # an invalid --ci-level such as 0 is rejected downstream, not replaced
     ci_level = args.ci_level if args.ci_level is not None else config.ci_level if config else 0.95
-    results = {}
-    for label in labels:
-        meta = resolve_meta(base, endpoint, label, config=config, tolerance_weeks=tolerance, mode=mode)
-        results[meta.label] = run_analysis(
-            base, meta, endpoint, reference=reference, ci_level=ci_level, force=args.force
-        )
+    metas = [resolve_meta(base, endpoint, label, config=config, tolerance_weeks=tolerance, mode=mode)
+             for label in labels]
+    if len({canonical(m.label) for m in metas}) < len(metas):  # only compare takes two labels
+        raise UsageError(f"--estimands names the meta-estimand {metas[0].label!r} twice")
+    results = {
+        meta.label: run_analysis(base, meta, endpoint, reference=reference, ci_level=ci_level, force=args.force)
+        for meta in metas
+    }
     return endpoint, ci_level, results
 
 

@@ -11,7 +11,8 @@ factor of its block and uses QR on the whitened design; neither the dense
 covariance (built only on demand, as `GlsSystem.sigma`) nor its inverse is
 formed.  The singular values of the whitened design's R are a slice's one
 numeric verdict (assembly checks connectivity by traversal alone).  Each
-solve computes its league table once, from the estimates and their covariance.
+solve computes its league table once, as node-by-node arrays of md, se and CI
+bounds; `NmaResult.comparisons` builds a `ComparisonResult` per pair read.
 
 A slice's blocks are built once, by `trial_blocks`, from the caller's
 evidence base: the feasibility report keeps them, and `assemble_gls`, the
@@ -20,9 +21,10 @@ one way to build a `GlsSystem`, assembles the analysis's system over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import groupby, repeat
-from typing import Any, Mapping, Optional, Sequence
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from itertools import groupby
+from typing import Any, Optional
 
 import numpy as np
 
@@ -197,6 +199,44 @@ class ComparisonResult:
     ci_level: float
 
 
+class LeagueView(Mapping):
+    """Read-only (treatment, comparator) -> `ComparisonResult` over node-by-node arrays.
+
+    Its keys are every ordered pair of distinct treatments, in the given spellings
+    and in row-major node order; reading one builds its result from element [i, j].
+    """
+
+    def __init__(self, treatments, ci_level, md, se, ci_lower, ci_upper) -> None:
+        self.treatments, self.ci_level = tuple(treatments), ci_level
+        self.md, self.se, self.ci_lower, self.ci_upper = md, se, ci_lower, ci_upper
+        self._index = {t: i for i, t in enumerate(self.treatments)}
+        # canonical treatment -> its node index, the row and column of the arrays
+        self.columns = {canonical(t): i for i, t in enumerate(self.treatments)}
+
+    def reindexed(self, order: Sequence[int], treatments: Sequence[str]) -> "LeagueView":
+        """The same table with its nodes taken in `order` and named `treatments`."""
+        ix = np.ix_(order, order)
+        return LeagueView(treatments, self.ci_level, self.md[ix], self.se[ix], self.ci_lower[ix], self.ci_upper[ix])
+
+    def at(self, i: int, j: int) -> ComparisonResult:
+        return ComparisonResult(
+            self.treatments[i], self.treatments[j], self.md.item(i, j), self.se.item(i, j),
+            self.ci_lower.item(i, j), self.ci_upper.item(i, j), self.ci_level,
+        )
+
+    def __getitem__(self, key) -> ComparisonResult:
+        i, j = map(self._index.get, key) if isinstance(key, tuple) and len(key) == 2 else (None, None)
+        if i is None or j is None or i == j:
+            raise KeyError(key)
+        return self.at(i, j)
+
+    def __iter__(self):
+        return ((a, b) for a in self.treatments for b in self.treatments if a != b)
+
+    def __len__(self) -> int:
+        return len(self.treatments) * (len(self.treatments) - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class NmaResult:
     """Basic-parameter estimates vs a reference, with derived comparisons."""
@@ -207,18 +247,10 @@ class NmaResult:
     estimates: np.ndarray
     covariance: np.ndarray
     ci_level: float
-    comparisons: Mapping[tuple[str, str], ComparisonResult]
+    comparisons: LeagueView
     condition_number: float
     notes: tuple[str, ...] = ()
     provenance: Optional[Any] = None
-    # canonical treatment -> design column; the reference maps to the column
-    # after the last, where the padded estimates and covariance are zero
-    columns: Mapping[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        columns = {canonical(self.reference): len(self.parameters)}
-        columns.update((canonical(node), j) for j, node in enumerate(self.parameters))
-        object.__setattr__(self, "columns", columns)
 
 
 def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
@@ -227,7 +259,8 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
     Whitens each trial's rows of X and y by the Cholesky factor of its block
     (blocks of one size in one batched call) and QR-factorizes the whitened
     design.  Conditioning of X' Sigma^-1 X is checked: above 1e8 a note is
-    recorded, above 1e12 the solve is refused.  The league table is computed here, once.
+    recorded, above 1e12 the solve is refused.  The league table is computed here,
+    once, as arrays (an invalid `ci_level` raises here); `comparisons` reads them.
     """
     sizes = np.array([len(block) for block in system.blocks])
     starts = np.cumsum(sizes) - sizes
@@ -259,61 +292,43 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
     covariance = r_inv @ r_inv.T
     covariance = (covariance + covariance.T) / 2.0
 
-    result = NmaResult(
+    # in node order, the reference's estimate, row and column zero: md = theta_a - theta_b and
+    # var = (C_aa - C_ab) - (C_ab - C_bb), the grouping in which (e_a - e_b)' C (e_a - e_b) rounds
+    at = system.treatments.index(system.reference)
+    theta = np.insert(estimates, at, 0.0)
+    cov = np.insert(np.insert(covariance, at, 0.0, axis=0), at, 0.0, axis=1)
+    var = cov.diagonal()
+    md = theta[:, None] - theta
+    se = np.sqrt(np.maximum((var[:, None] - cov) - (cov - var), 0.0))
+    z = z_for_level(ci_level)
+    return NmaResult(
         reference=system.reference,
         treatments=system.treatments,
         parameters=system.parameters,
         estimates=estimates,
         covariance=covariance,
         ci_level=ci_level,
-        comparisons={},
+        comparisons=LeagueView(system.treatments, ci_level, md, se, md - z * se, md + z * se),
         condition_number=condition,
         notes=notes,
-    )
-    table = league_table(result)
-    return replace(result, comparisons={(c.treatment, c.comparator): c for c in table})
-
-
-def _comparisons(
-    result: NmaResult, treatments: Sequence[str], comparators: Sequence[str], a, b, level: float
-) -> tuple[ComparisonResult, ...]:
-    """Pooled comparisons treatment minus comparator, at design columns a and b.
-
-    Over the estimates and covariance padded with the reference's zero row
-    and column, md = theta_a - theta_b and var = (C_aa - C_ab) - (C_ab - C_bb),
-    the grouping in which (e_a - e_b)' C (e_a - e_b) rounds.
-    """
-    theta = np.append(result.estimates, 0.0)
-    cov = np.pad(result.covariance, (0, 1))
-    md = theta[a] - theta[b]
-    se = np.sqrt(np.maximum((cov[a, a] - cov[a, b]) - (cov[a, b] - cov[b, b]), 0.0))
-    z = z_for_level(level)
-    bounds = (md - z * se).tolist(), (md + z * se).tolist()
-    return tuple(
-        map(ComparisonResult, treatments, comparators, md.tolist(), se.tolist(), *bounds, repeat(level))
     )
 
 
 def comparison(result: NmaResult, a: str, b: str, level: float | None = None) -> ComparisonResult:
     """Pooled comparison a minus b with its normal-based confidence interval."""
-    columns = []
-    for node in (a, b):
-        if (column := result.columns.get(canonical(node))) is None:
-            raise EngineError(f"unknown treatment {node!r}")
-        columns.append([column])
+    view = result.comparisons
+    index = [view.columns.get(canonical(node)) for node in (a, b)]
+    if None in index:
+        raise EngineError(f"unknown treatment {(a, b)[index.index(None)]!r}")
     level = result.ci_level if level is None else level
-    return _comparisons(result, (a,), (b,), *np.array(columns), level)[0]
+    md, se = view.md.item(*index), view.se.item(*index)
+    z = z_for_level(level)
+    return ComparisonResult(a, b, md, se, md - z * se, md + z * se, level)
 
 
 def league_table(result: NmaResult) -> tuple[ComparisonResult, ...]:
-    """Every ordered pair of distinct treatments, in deterministic node order,
-    from the estimates and their covariance alone."""
-    names = result.treatments
-    columns = np.array([result.columns[canonical(node)] for node in names], dtype=int)
-    a, b = np.nonzero(~np.eye(len(names), dtype=bool))  # nodes are distinct treatments
-    return _comparisons(
-        result, [names[i] for i in a], [names[j] for j in b], columns[a], columns[b], result.ci_level
-    )
+    """Every ordered pair of distinct treatments, in deterministic node order."""
+    return tuple(result.comparisons.values())
 
 
 def comparison_rows(result: NmaResult) -> list[dict]:

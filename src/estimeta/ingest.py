@@ -659,68 +659,43 @@ def _cell(value) -> str:
 
 def serialize_evidence(base: EvidenceBase, format: str = "csv") -> str:
     """Render an evidence base back into its file format (round-trip safe)."""
-    doc = evidence_to_dict(base)
     if format == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(evidence_to_dict(base), indent=2) + "\n"
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    for section, fields in _SECTION_FIELDS.items():
+    for section, records in _records(base).items():
         writer.writerow([f"#{section}"])
-        writer.writerow(fields)
-        writer.writerows([_cell(record[name]) for name in fields] for record in doc[section])
+        writer.writerow(_SECTION_FIELDS[section])
+        writer.writerows([_cell(value) for value in record] for record in records)
     return out.getvalue()
 
 
 def evidence_to_dict(base: EvidenceBase) -> dict:
-    doc: dict = {"trials": [], "estimands": [], "contrasts": [], "arms": []}
-    for trial in base.trials.values():
-        doc["trials"].append({"trial_id": trial.trial_id, "arms": list(trial.arms)})
-        for est in trial.estimands.values():
-            doc["estimands"].append(
-                {
-                    "trial_id": trial.trial_id,
-                    "label": est.label,
-                    "population": est.population,
-                    "endpoint_name": est.endpoint.name,
-                    "units": est.endpoint.units,
-                    "timepoint_weeks": est.endpoint.timepoint_weeks,
-                    "summary_measure": est.summary_measure.value,
-                    "ie_handlings": [
-                        {"event_name": h.event_name, "strategy": h.strategy.value}
-                        for h in est.ie_handlings
-                    ],
-                }
-            )
-    for c in base.contrasts:
-        doc["contrasts"].append(
-            {
-                "trial_id": c.trial_id,
-                "estimand_label": c.estimand_label,
-                "endpoint_name": c.endpoint,
-                "treatment": c.treatment,
-                "comparator": c.comparator,
-                "md": c.md,
-                "se": c.se if c.source is UncertaintySource.REPORTED_SE else None,
-                "ci_lower": c.ci_lower,
-                "ci_upper": c.ci_upper,
-                "ci_level": c.ci_level,
-            }
-        )
-    for a in base.arm_summaries:
-        doc["arms"].append(
-            {
-                "trial_id": a.trial_id,
-                "estimand_label": a.estimand_label,
-                "endpoint_name": a.endpoint,
-                "treatment": a.treatment,
-                "n": a.n_randomized,
-                "mean_change": a.mean_change,
-                "ci_lower": a.ci_lower,
-                "ci_upper": a.ci_upper,
-                "ci_level": a.ci_level,
-            }
-        )
-    return doc
+    """Each section's records as objects keyed by the section's `_SECTION_FIELDS`."""
+    return {s: [dict(zip(_SECTION_FIELDS[s], r)) for r in rows] for s, rows in _records(base).items()}
+
+
+def _records(base: EvidenceBase) -> dict[str, Iterator[tuple]]:
+    """Each section's records, one tuple each of the fields `_SECTION_FIELDS` names, in its order."""
+    trials = base.trials.values()
+    return {
+        "trials": ((t.trial_id, list(t.arms)) for t in trials),
+        "estimands": (
+            (t.trial_id, e.label, e.population, e.endpoint.name, e.endpoint.units, e.endpoint.timepoint_weeks,
+             e.summary_measure.value, [{"event_name": h.event_name, "strategy": h.strategy.value} for h in e.ie_handlings])
+            for t in trials for e in t.estimands.values()
+        ),
+        "contrasts": (
+            (c.trial_id, c.estimand_label, c.endpoint, c.treatment, c.comparator, c.md,
+             c.se if c.source is UncertaintySource.REPORTED_SE else None, c.ci_lower, c.ci_upper, c.ci_level)
+            for c in base.contrasts
+        ),
+        "arms": (
+            (a.trial_id, a.estimand_label, a.endpoint, a.treatment, a.n_randomized, a.mean_change,
+             a.ci_lower, a.ci_upper, a.ci_level)
+            for a in base.arm_summaries
+        ),
+    }
 
 
 # --- validation -------------------------------------------------------------

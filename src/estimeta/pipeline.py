@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import permutations
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from .engine import (
     ComparisonResult,
     CovarianceError,
+    LeagueView,
     NmaResult,
     assemble_gls,
     solve_fixed_effects,
@@ -269,13 +270,31 @@ class StrategyRow:
     attenuation: bool
 
 
+class _StrategyRows(Sequence):
+    """The rows of a strategy table over per-label league views in one node order;
+    each `StrategyRow` is built when it is read."""
+
+    def __init__(self, views: Mapping[str, LeagueView], attenuation: np.ndarray) -> None:
+        self.views, self.attenuation = views, attenuation
+        self.treatments = next(iter(views.values())).treatments
+
+    def __len__(self) -> int:
+        return self.attenuation.size - len(self.attenuation)
+
+    def __getitem__(self, k):
+        i, j = divmod(range(len(self))[k], len(self.treatments) - 1)
+        j += j >= i  # the diagonal is skipped
+        by_label = {label: view.at(i, j) for label, view in self.views.items()}
+        return StrategyRow(self.treatments[i], self.treatments[j], by_label, self.attenuation.item(i, j))
+
+
 @dataclass(frozen=True)
 class StrategyComparison:
     endpoint: str
     labels: tuple[str, ...]
     baseline_label: str
     attenuated_label: str
-    rows: tuple[StrategyRow, ...]
+    rows: Sequence[StrategyRow]
 
 
 def compare_strategies(
@@ -286,14 +305,14 @@ def compare_strategies(
     The attenuation flag asks whether the treatment-policy-style estimate
     sits closer to the null than its counterpart: with exactly two labels,
     the one mentioning "policy" is tested against the other; otherwise the
-    second label is tested against the first.
+    second label is tested against the first.  Each result's league arrays are
+    aligned once to the first result's node order and spelling; `rows` is a
+    read-only sequence that builds each row when it is read.
     """
     labels = list(results)
     if len(labels) < 2:
         raise ValueError("compare_strategies needs at least two results")
-    # each result's spelling of every treatment, by canonical key
-    spelled = {label: {canonical(t): t for t in res.treatments} for label, res in results.items()}
-    if len({frozenset(names) for names in spelled.values()}) != 1:
+    if len({frozenset(res.comparisons.columns) for res in results.values()}) != 1:
         raise ValueError("results cover different treatment sets")
 
     baseline, attenuated = labels[0], labels[1]
@@ -303,29 +322,18 @@ def compare_strategies(
             attenuated = policy[0]
             baseline = labels[0] if labels[1] == attenuated else labels[1]
 
-    keys = {t: canonical(t) for t in results[labels[0]].treatments}
-    rows = []
-    for a, b in permutations(keys, 2):
-        by_label = {}
-        for label, res in results.items():
-            c = res.comparisons[spelled[label][keys[a]], spelled[label][keys[b]]]
-            if (c.treatment, c.comparator) != (a, b):  # the result spells them otherwise
-                c = replace(c, treatment=a, comparator=b)
-            by_label[label] = c
-        rows.append(
-            StrategyRow(
-                treatment=a,
-                comparator=b,
-                by_label=by_label,
-                attenuation=abs(by_label[attenuated].md) < abs(by_label[baseline].md),
-            )
-        )
+    first = results[labels[0]].comparisons
+    views = {
+        label: res.comparisons.reindexed([res.comparisons.columns[k] for k in first.columns], first.treatments)
+        for label, res in results.items()
+    }
+    attenuation = np.abs(views[attenuated].md) < np.abs(views[baseline].md)
     return StrategyComparison(
         endpoint=canonical(endpoint),
         labels=tuple(labels),
         baseline_label=baseline,
         attenuated_label=attenuated,
-        rows=tuple(rows),
+        rows=_StrategyRows(views, attenuation),
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import estimeta as em
 from conftest import DULA_15, HBA1C, TWO_ESTIMANDS_CSV
+from estimeta import cli
 from estimeta.cli import main
 from estimeta.ingest import EvidenceBase, serialize_evidence
 
@@ -440,6 +441,17 @@ class TestCompare:
         )
         assert row["attenuation"] is True
         assert row["hypothetical"]["md"] == pytest.approx(-0.47, abs=0.03)
+
+    @pytest.mark.parametrize("second", ["hypothetical", "HYPOTHETICAL"])
+    def test_one_meta_estimand_twice_is_a_usage_error(self, second, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_analysis", lambda *args, **kwargs: ran.append(args))
+        code = main(["compare", "--input", CASE, "--endpoint", "hba1c", "--estimands", "hypothetical", second])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --estimands names the meta-estimand 'hypothetical' twice\n"
+        assert ran == []
 
 
 class TestHelp:

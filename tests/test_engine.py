@@ -252,6 +252,45 @@ class TestComparisons:
         assert abs(cycle) < 1e-12
 
 
+def pairwise(result):
+    """The league table built pair by pair with `comparison`, in node order."""
+    names = result.treatments
+    return [((a, b), comparison(result, a, b)) for a in names for b in names if a != b]
+
+
+class TestLeagueView:
+    """`NmaResult.comparisons` is a read-only mapping that acts as the dict it replaced."""
+
+    def test_items_equal_the_pairwise_comparisons(self, result):
+        rng = np.random.default_rng(20250810)  # criterion 4's 1000 random networks
+        results = [result] + [solve_base(random_connected_base(rng)) for _ in range(1000)]
+        for res in results:
+            n = len(res.treatments)
+            assert len(res.comparisons) == n * (n - 1)
+            assert list(res.comparisons.items()) == pairwise(res)
+            assert league_table(res) == tuple(c for _, c in pairwise(res))
+
+    def test_keys_that_are_not_pairs_are_missing(self):
+        res = solve_base(synthetic_base([("T1", ["P", "Q"], [0.02, 0.03], [1.5])]))
+        view = res.comparisons
+        assert res.treatments == ("Q", "P") and list(view) == [("Q", "P"), ("P", "Q")]
+        assert ("P", "Q") in view and view.get(("Q", "P")) == comparison(res, "Q", "P")
+        for key in (("P", "P"), ("Q", "Q"), ("P", "R"), ("R", "Q"), ("p", "Q"), "PQ", ("P", "Q", "P"), ()):
+            assert key not in view
+            assert view.get(key) is None
+            with pytest.raises(KeyError):
+                view[key]
+        assert not hasattr(view, "__setitem__")
+        with pytest.raises(TypeError):
+            view["P", "Q"] = comparison(res, "P", "Q")
+
+    @pytest.mark.parametrize("level", [1.5, 0])
+    def test_invalid_level_raises_from_the_call(self, case_base, level):
+        meta = synthesize_meta(case_base, HBA1C, IntercurrentEventStrategy.HYPOTHETICAL)
+        with pytest.raises(ValueError, match="confidence level"):
+            run_analysis(case_base, meta, HBA1C, ci_level=level)
+
+
 class TestRandomizedProperties:
     def test_matches_brute_force_oracle(self, corpus):
         for base in corpus:

@@ -624,6 +624,38 @@ class TestCompareStrategies:
             hyp, tp = row.by_label["hypothetical"], row.by_label["treatment_policy"]
             assert row.attenuation == (abs(tp.md) < abs(hyp.md))
 
+    def test_rows_are_built_only_when_read(self, monkeypatch):
+        built = Counter()
+        for cls in (engine.ComparisonResult, pipeline.StrategyRow):
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        rng = np.random.default_rng(12)
+        bases = [large_connected_base(rng, n_nodes=40, n_trials=120) for _ in range(2)]
+        results = {
+            label: run_analysis(base, synthesize_meta(base, "outcome", HYP), "outcome")
+            for label, base in zip(("hypothetical", "treatment_policy"), bases)
+        }
+        table = compare_strategies(results, "outcome")
+        assert built == Counter()
+        rows = list(table.rows)
+        assert built == Counter({"StrategyRow": 40 * 39, "ComparisonResult": 2 * 40 * 39})
+
+        names = results["hypothetical"].treatments
+        assert names != results["treatment_policy"].treatments  # the node orders differ
+        assert len(table.rows) == len(rows) == 40 * 39
+        assert [(r.treatment, r.comparator) for r in rows] == [(a, b) for a in names for b in names if a != b]
+        for row in rows:
+            eager = {label: comparison(res, row.treatment, row.comparator) for label, res in results.items()}
+            tp, hyp = eager["treatment_policy"], eager["hypothetical"]
+            assert row == pipeline.StrategyRow(row.treatment, row.comparator, eager, abs(tp.md) < abs(hyp.md))
+        assert 0 < sum(row.attenuation for row in rows) < len(rows)
+        assert table.rows[-1] == rows[-1] and table.rows[7] == rows[7]
+        with pytest.raises(IndexError):
+            table.rows[len(rows)]
+
     def test_mismatched_treatment_sets_rejected(self, weight_results):
         base = synthetic_base([("T1", ["A", "B"], [0.02, 0.03], [1.5])])
         meta = synthesize_meta(base, "outcome", HYP)
