@@ -266,7 +266,8 @@ def _cmd_network(args) -> int:
         endpoints = list(base.endpoint_keys())
 
     chunks: list[str] = []
-    all_connected = True
+    statuses: list[str] = []  # printed once every endpoint is done, after any failure's own line
+    failed: list[str] = []
     for key in endpoints:
         if args.estimand is not None:
             meta = resolve_meta(
@@ -276,20 +277,22 @@ def _cmd_network(args) -> int:
         else:
             contrasts = tuple(c for c in base.contrasts if c.endpoint == key)
         if not contrasts:
-            print(f"{key}: no contrasts", file=sys.stderr)
-            all_connected = False
+            statuses.append(f"{key}: no contrasts")
+            failed.append(key)
             continue
         net = build_network(contrasts)
-        connected = is_connected(net)
-        all_connected = all_connected and connected
+        if not (connected := is_connected(net)):
+            failed.append(key)
         if len(endpoints) > 1:
             chunks.append(f"#endpoint,{key}\n")
         chunks.append(export_edge_list(net))
         status = "connected" if connected else f"disconnected ({len(connected_components(net))} components)"
-        print(f"{key}: {len(net.nodes)} treatments, {len(net.edges)} comparisons, {status}",
-              file=sys.stderr)
+        statuses.append(f"{key}: {len(net.nodes)} treatments, {len(net.edges)} comparisons, {status}")
     _emit("".join(chunks), args.output)
-    return EXIT_OK if all_connected else EXIT_INFEASIBLE
+    if failed:
+        statuses.insert(0, f"infeasible: no connected evidence network for {', '.join(failed)}")
+    print("\n".join(statuses), file=sys.stderr)
+    return EXIT_INFEASIBLE if failed else EXIT_OK
 
 
 def _render_league(result: NmaResult, fmt: str) -> str:

@@ -17,11 +17,14 @@ bounds; `NmaResult.comparisons` builds a `ComparisonResult` per pair read.
 A slice's blocks are built once, by `trial_blocks`, from the caller's
 evidence base: the feasibility report keeps them, and `assemble_gls`, the
 one way to build a `GlsSystem`, assembles the analysis's system over them.
+A block passes only the Cholesky factorization the solve whitens by, so
+feasibility, `validate_evidence` and the solve give one verdict per trial.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Any, Optional
@@ -63,7 +66,8 @@ def trial_covariance(
     variances must be supplied, keyed by canonical treatment id; the block
     is assembled from them.  It is positive definite exactly when the contrasts,
     as edges over the arms, form a forest (a repeated pair is a cycle of two),
-    which a union-find pass decides; an eigenvalue test guards against rounding.
+    which a union-find pass decides; against rounding, `np.linalg.cholesky` (the
+    solve's factorization) must give it a finite factor.
     """
     if not contrasts:
         raise CovarianceError("trial has no contrasts")
@@ -91,16 +95,15 @@ def trial_covariance(
                 "are linearly dependent (they close a cycle over its arms)"
             )
         component = [a if k == b else k for k in component]
-    # S diag(v) S': each entry sums at most two nonzero, exactly signed variances
-    block = (signs * np.array(list(arm_variances.values()), dtype=float)) @ signs.T
-    _require_positive_definite(block, f"covariance of trial {contrasts[0].trial_id!r}")
-    return block
-
-
-def _require_positive_definite(matrix: np.ndarray, what: str) -> None:
-    smallest = np.linalg.eigvalsh(matrix).min()
-    if smallest <= 0.0:
-        raise CovarianceError(f"{what} is not positive definite (min eigenvalue {smallest:g})")
+    # S diag(v) S': each entry sums at most two nonzero, exactly signed variances (an overflow is refused below)
+    with np.errstate(over="ignore"):
+        block = (signs * np.array(list(arm_variances.values()), dtype=float)) @ signs.T
+    with suppress(np.linalg.LinAlgError):  # the solve's stacked call factors each block exactly alike
+        if np.isfinite(np.linalg.cholesky(block)).all():
+            return block
+    raise CovarianceError(
+        f"covariance of trial {contrasts[0].trial_id!r} is not positive definite (its Cholesky factorization fails)"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,19 +176,19 @@ def _block_for_trial(
     if len(group) == 1:
         return trial_covariance(group)
     sample = group[0]
-    variances: dict[str, float] = {}
-    # arms in order of first appearance, so that a message names the same arm on every run
-    for arm in dict.fromkeys(arm for c in group for arm in (c.treatment_key, c.comparator_key)):
-        summary = base.arm_summary(sample.trial_id, sample.estimand_label, sample.endpoint, arm)
-        if summary is None:
-            if independence_fallback:
-                return np.diag([c.se**2 for c in group])
-            raise CovarianceError(
-                f"shared-arm variance unidentifiable: trial {sample.trial_id!r} lacks an arm "
-                f"summary for {arm!r} ({sample.estimand_label} / {sample.endpoint})"
-            )
-        variances[arm] = summary.variance
-    return trial_covariance(group, arm_variances=variances)
+    # arms in order of first appearance, so that a message names them alike on every run
+    summaries = {
+        arm: base.arm_summary(sample.trial_id, sample.estimand_label, sample.endpoint, arm)
+        for arm in dict.fromkeys(arm for c in group for arm in (c.treatment_key, c.comparator_key))
+    }
+    if missing := [repr(arm) for arm, summary in summaries.items() if summary is None]:
+        if independence_fallback:
+            return np.diag([c.se**2 for c in group])
+        raise CovarianceError(
+            f"shared-arm variance unidentifiable: trial {sample.trial_id!r} lacks an arm "
+            f"summary for {', '.join(missing)} ({sample.estimand_label} / {sample.endpoint})"
+        )
+    return trial_covariance(group, arm_variances={arm: s.variance for arm, s in summaries.items()})
 
 
 @dataclass(frozen=True)

@@ -701,15 +701,13 @@ def _records(base: EvidenceBase) -> dict[str, Iterator[tuple]]:
 # --- validation -------------------------------------------------------------
 
 
-def _multi_arm_groups(base: EvidenceBase) -> dict[tuple[str, str, str], list[ContrastEstimate]]:
-    groups: dict[tuple[str, str, str], list[ContrastEstimate]] = {}
-    for c in base.contrasts:
-        groups.setdefault((c.trial_id, c.label_key, c.endpoint), []).append(c)
-    return {k: v for k, v in groups.items() if len(v) >= 2}
-
-
 def validate_evidence(base: EvidenceBase) -> list[Issue]:
-    """Re-check invariants and flag analysis hazards; issues are data, not errors."""
+    """Re-check invariants and flag analysis hazards; issues are data, not errors.
+
+    Each multi-arm (trial, estimand, endpoint) block is judged by the engine's own
+    `trial_blocks`, so a block warned of here is the one an analysis refuses.
+    """
+    from .engine import CovarianceError, trial_blocks  # here, as engine imports this module
     issues: list[Issue] = []
 
     seen: set[tuple] = set()
@@ -749,19 +747,15 @@ def validate_evidence(base: EvidenceBase) -> list[Issue]:
                 Issue("error", f"arm treatment {arm.treatment!r} is not an arm of {arm.trial_id!r}")
             )
 
-    for (trial_id, label, endpoint), group in _multi_arm_groups(base).items():
-        arms_involved = {c.treatment_key for c in group} | {c.comparator_key for c in group}
-        missing = sorted(
-            a for a in arms_involved if base.arm_summary(trial_id, label, endpoint, a) is None
-        )
-        if missing:
-            issues.append(
-                Issue(
-                    "warning",
-                    f"shared-arm variance unidentifiable for trial {trial_id!r} "
-                    f"({label} / {endpoint}): no arm summaries for {', '.join(missing)}",
-                )
-            )
+    groups: dict[tuple[str, str, str], list[ContrastEstimate]] = {}
+    for c in base.contrasts:
+        groups.setdefault((c.trial_id, c.label_key, c.endpoint), []).append(c)
+    for group in groups.values():
+        if len(group) > 1:
+            try:  # in a network's edge order: the block's rows, so its factorization, are the analysis's
+                trial_blocks(sorted(group, key=lambda c: (c.treatment_key, c.comparator_key)), base)
+            except CovarianceError as exc:
+                issues.append(Issue("warning", str(exc)))
 
     for key in base.endpoint_keys():
         timepoints = sorted({e.endpoint.timepoint_weeks for ests in base.estimands_by_trial(key).values() for e in ests})

@@ -418,14 +418,15 @@ def synthesize_meta(
     strategy: IntercurrentEventStrategy,
     *,
     label: str | None = None,
-    tolerance_weeks: int = 4,
-    mode: MatchingMode = MatchingMode.LENIENT,
+    **policy,
 ) -> MetaEstimand:
     """Build the pure-strategy target estimand implied by the evidence base.
 
     Its events are those declared, with the requested strategy, in every
     trial reporting the endpoint; population, timepoint and summary measure
-    are the modal values across those trials.
+    are the modal values across those trials.  `policy` may give
+    `timepoint_tolerance_weeks` and `matching_mode`; each left out takes
+    `MetaEstimand`'s default.
     """
     per_trial = base.estimands_by_trial(canonical(endpoint))
     if not per_trial:
@@ -462,8 +463,7 @@ def synthesize_meta(
         ie_handlings=tuple(
             IntercurrentEventHandling(ev, strategy) for ev in sorted(common)
         ),
-        timepoint_tolerance_weeks=tolerance_weeks,
-        matching_mode=mode,
+        **policy,
     )
 
 
@@ -486,14 +486,12 @@ def resolve_meta(
     """Find a configured meta-estimand by label, or synthesize a pure-strategy one.
 
     A tolerance or mode given overrides the configured record's; one left as
-    None keeps the record's, or the default (4 weeks, lenient) when synthesizing.
+    None keeps the record's, or `MetaEstimand`'s default when synthesizing.
     """
     policy = {"timepoint_tolerance_weeks": tolerance_weeks, "matching_mode": mode}
     policy = {name: value for name, value in policy.items() if value is not None}
-    if config is not None:
-        meta = config.meta_for(label, endpoint)
-        if meta is not None:
-            return replace(meta, **policy) if policy else meta
+    if config is not None and (meta := config.meta_for(label, endpoint)) is not None:
+        return replace(meta, **policy) if policy else meta
     try:
         strategy = IntercurrentEventStrategy.parse(label)
     except ValueError:
@@ -502,9 +500,7 @@ def resolve_meta(
         raise ValueError(
             f"unknown meta-estimand {label!r}: not configured and not a strategy token{hint}"
         ) from None
-    tolerance = 4 if tolerance_weeks is None else tolerance_weeks
-    mode = MatchingMode.LENIENT if mode is None else mode
-    return synthesize_meta(base, endpoint, strategy, label=label, tolerance_weeks=tolerance, mode=mode)
+    return synthesize_meta(base, endpoint, strategy, label=label, **policy)
 
 
 @dataclass(frozen=True)
@@ -524,11 +520,8 @@ class AnalysisConfig:
         z_for_level(self.ci_level)  # refuses a level outside (0, 1), or one whose z is 0
 
     def meta_for(self, label: str, endpoint: str) -> Optional[MetaEstimand]:
-        key, lab = canonical(endpoint), canonical(label)
-        for meta in self.meta_estimands:
-            if canonical(meta.label) == lab and meta.endpoint.key == key:
-                return meta
-        return None
+        key, lab = canonical(endpoint), canonical(label)  # load_config admits one record per pair
+        return next((m for m in self.meta_estimands if canonical(m.label) == lab and m.endpoint.key == key), None)
 
 
 def load_config(source: str | Path | dict, base: EvidenceBase) -> AnalysisConfig:
@@ -537,7 +530,8 @@ def load_config(source: str | Path | dict, base: EvidenceBase) -> AnalysisConfig
     A `meta_estimands` record that gives `strategy` is a shorthand, synthesized against
     the evidence base for every configured endpoint; any other record is a full
     definition, read as an evidence file's estimand record is, plus `treatments`.
-    Every fault in the plan is an EvidenceFormatError at `meta_estimands[i]` or `config`.
+    Every fault in the plan is an EvidenceFormatError at `meta_estimands[i]` or `config`,
+    including a record whose label (canonically) an earlier record gave for the same endpoint.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -546,28 +540,33 @@ def load_config(source: str | Path | dict, base: EvidenceBase) -> AnalysisConfig
         doc = source
     with _located("config"):
         endpoints = tuple(map(canonical, _names(doc, "endpoints", base.endpoint_keys())))
-    metas: list[MetaEstimand] = []
+    metas: dict[tuple[str, str], MetaEstimand] = {}  # (label key, endpoint key) -> its one record
     for record, locator in _objects(doc, "meta_estimands", "config"):
         with _located(locator):
-            tolerance = _integer(_field(record, "timepoint_tolerance_weeks", 4), "timepoint_tolerance_weeks")
-            mode = MatchingMode(_text(record, "matching_mode", "lenient"))
-            if _field(record, "strategy", None) is None:
-                policy = dict(timepoint_tolerance_weeks=tolerance, matching_mode=mode)
-                metas.append(_estimand(record, _names(record, "treatments"), MetaEstimand, **policy))
-                continue
-            if _field(record, "ie_handlings", None) is not None:
-                raise ValueError("a record gives both 'strategy' (shorthand) and 'ie_handlings' (full definition)")
-            if tolerance < 0:
-                raise ValueError("timepoint tolerance must be nonnegative")
-            strategy = IntercurrentEventStrategy.parse(_text(record, "strategy"))
-            label = _text(record, "label", None) or strategy.value
-        metas.extend(  # outside _located: evidence that cannot satisfy a shorthand is no fault of the plan
-            synthesize_meta(base, endpoint, strategy, label=label, tolerance_weeks=tolerance, mode=mode)
-            for endpoint in endpoints
-        )
+            policy = {}  # the fields given; MetaEstimand's defaults stand for the rest
+            if (tolerance := _field(record, "timepoint_tolerance_weeks", None)) is not None:
+                policy["timepoint_tolerance_weeks"] = _integer(tolerance, "timepoint_tolerance_weeks")
+            if _field(record, "matching_mode", None) is not None:
+                policy["matching_mode"] = MatchingMode(_text(record, "matching_mode"))
+            if (shorthand := _field(record, "strategy", None)) is None:
+                made = [_estimand(record, _names(record, "treatments"), MetaEstimand, **policy)]
+            else:
+                if _field(record, "ie_handlings", None) is not None:
+                    raise ValueError("a record gives both 'strategy' (shorthand) and 'ie_handlings' (full definition)")
+                if policy.get("timepoint_tolerance_weeks", 0) < 0:
+                    raise ValueError("timepoint tolerance must be nonnegative")
+                strategy = IntercurrentEventStrategy.parse(_text(record, "strategy"))
+                label = _text(record, "label", None) or strategy.value
+        if shorthand is not None:  # outside _located: evidence that cannot satisfy a shorthand is no fault of the plan
+            made = [synthesize_meta(base, endpoint, strategy, label=label, **policy) for endpoint in endpoints]
+        with _located(locator):
+            for meta in made:
+                if (key := (canonical(meta.label), meta.endpoint.key)) in metas:
+                    raise ValueError(f"meta-estimand {meta.label!r} is declared twice for endpoint {key[1]!r}")
+                metas[key] = meta
     with _located("config"):
         return AnalysisConfig(
-            meta_estimands=tuple(metas),
+            meta_estimands=tuple(metas.values()),
             endpoints=endpoints,
             reference=_text(doc, "reference", None),
             ci_level=_number(_field(doc, "ci_level", 0.95), "ci_level"),

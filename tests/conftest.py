@@ -52,6 +52,49 @@ T1,secondary,outcome,B,A,1.2,0.25,,,
 T2,primary,outcome,C,A,0.5,0.3,,,
 """
 
+# T1 reports B-A, C-A and C-B with every arm row: its contrasts close a cycle over its arms
+CYCLIC_TRIAL_CSV = """\
+#trials
+trial_id,arms
+T1,A;B;C
+T2,A;B
+#estimands
+trial_id,label,population,endpoint_name,units,timepoint_weeks,summary_measure,ie_handlings
+T1,primary,adults,outcome,u,12,mean_difference,dropout:hypothetical
+T2,primary,adults,outcome,u,12,mean_difference,dropout:hypothetical
+#contrasts
+trial_id,estimand_label,endpoint_name,treatment,comparator,md,se,ci_lower,ci_upper,ci_level
+T1,primary,outcome,B,A,1.0,,,,
+T1,primary,outcome,C,A,0.5,,,,
+T1,primary,outcome,C,B,-0.5,,,,
+T2,primary,outcome,B,A,0.8,0.3,,,
+#arms
+trial_id,estimand_label,endpoint_name,treatment,n,mean_change,ci_lower,ci_upper,ci_level
+T1,primary,outcome,A,100,0,-1,1,0.95
+T1,primary,outcome,B,100,0,-1.2,1.2,0.95
+T1,primary,outcome,C,100,0,-1.5,1.5,0.95
+"""
+
+# T1's B-A and C-A are independent, but A's variance swamps B's and C's: in floating point
+# the block is singular, and its Cholesky factorization fails
+REFUSED_FACTOR_CSV = """\
+#trials
+trial_id,arms
+T1,A;B;C
+#estimands
+trial_id,label,population,endpoint_name,units,timepoint_weeks,summary_measure,ie_handlings
+T1,primary,adults,outcome,u,12,mean_difference,dropout:hypothetical
+#contrasts
+trial_id,estimand_label,endpoint_name,treatment,comparator,md,se,ci_lower,ci_upper,ci_level
+T1,primary,outcome,B,A,1.0,,,,
+T1,primary,outcome,C,A,0.5,,,,
+#arms
+trial_id,estimand_label,endpoint_name,treatment,n,mean_change,ci_lower,ci_upper,ci_level
+T1,primary,outcome,A,100,0,-9.444132097830589e+67,9.444132097830589e+67,0.95
+T1,primary,outcome,B,100,0,-1.2585817278477383e+60,1.2585817278477383e+60,0.95
+T1,primary,outcome,C,100,0,-7.961424252503772e-05,7.961424252503772e-05,0.95
+"""
+
 
 @pytest.fixture(scope="session")
 def case_base() -> EvidenceBase:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import estimeta as em
-from conftest import DULA_15, HBA1C, TWO_ESTIMANDS_CSV
+from conftest import CYCLIC_TRIAL_CSV, DULA_15, HBA1C, REFUSED_FACTOR_CSV, TWO_ESTIMANDS_CSV, WEIGHT
 from estimeta import cli
 from estimeta.cli import main
 from estimeta.ingest import EvidenceBase, serialize_evidence
@@ -60,6 +60,31 @@ class TestValidate:
         assert "usage error" in capsys.readouterr().err
 
 
+class TestOneCovarianceVerdict:
+    """`validate` warns of exactly the multi-arm blocks `analyze` refuses, in its words."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (CYCLIC_TRIAL_CSV, "covariance of trial 'T1' is not positive definite: its contrasts are "
+                               "linearly dependent (they close a cycle over its arms)"),
+            (REFUSED_FACTOR_CSV, "covariance of trial 'T1' is not positive definite "
+                                 "(its Cholesky factorization fails)"),
+        ],
+        ids=["cycle", "refused-factorization"],
+    )
+    def test_validate_warns_what_analyze_refuses(self, text, message, tmp_path, capsys):
+        path = tmp_path / "evidence.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", "--input", str(path)]) == 0
+        out = capsys.readouterr()
+        assert out.out == f"warning: {message}\n"
+        assert out.err.endswith("; 0 errors, 1 warnings\n")
+        for force in ([], ["--force"]):
+            assert main(["analyze", "--input", str(path), "--estimand", "hypothetical", *force]) == 3
+            assert f"  [error] covariance_unidentifiable: {message}\n" in capsys.readouterr().err
+
+
 class TestNetwork:
     def test_connected_exit_zero(self, capsys):
         assert main(["network", "--input", CASE, "--endpoint", "hba1c"]) == 0
@@ -82,6 +107,13 @@ class TestNetwork:
     def test_disconnected_exit_three(self, no_s7_file, capsys):
         assert main(["network", "--input", no_s7_file, "--endpoint", "hba1c"]) == 3
         assert "disconnected" in capsys.readouterr().err
+
+    def test_disconnected_stderr_starts_infeasible(self, no_s7_file, capsys):
+        # every endpoint's status follows the verdict, as with analyze's reasons
+        assert main(["network", "--input", no_s7_file]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == f"infeasible: no connected evidence network for {HBA1C}, {WEIGHT}"
+        assert [line.split(": ")[0] for line in lines[1:]] == [HBA1C, WEIGHT]
 
     def test_format_rejected(self, capsys):
         assert main(["network", "--input", CASE, "--endpoint", "hba1c", "--format", "json"]) == 1
@@ -290,6 +322,16 @@ class TestPlanFileFaults:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {where}: ")
         assert err.count("\n") == 1
+
+    def test_label_declared_twice_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        records = [{"label": "target", "strategy": "hypothetical"},
+                   {"label": "Target", "strategy": "treatment_policy", "matching_mode": "strict"}]
+        path.write_text(json.dumps({"meta_estimands": records}), encoding="utf-8")
+        code = main(["analyze", "--input", CASE, "--estimand", "Target", "--endpoint", "hba1c",
+                     "--config", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: meta_estimands[1]: meta-estimand 'Target' is declared twice")
 
     def test_unsatisfiable_shorthand_stays_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "plan.json"

@@ -94,6 +94,12 @@ class TestTrialCovariance:
         with pytest.raises(CovarianceError, match="not positive definite"):
             trial_covariance(contrasts, arm_variances={"a": 0.01, "b": 0.02, "c": 0.03})
 
+    def test_overflowed_block_refused_without_a_warning(self):
+        # 1e308 + 1e308 overflows: the factor is not finite, so the block is refused
+        contrasts = [contrast("T1", "B", "A", 1.0, 0.2), contrast("T1", "C", "A", 0.5, 0.2)]
+        with pytest.raises(CovarianceError, match="Cholesky factorization fails"):
+            trial_covariance(contrasts, arm_variances={"a": 1e308, "b": 1e308, "c": 1.0})
+
     def test_missing_arm_named_whatever_the_hash_seed(self):
         # a three-arm trial without arm rows: string hashing, and so set order, varies by seed
         script = (
@@ -113,8 +119,10 @@ class TestTrialCovariance:
             run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
             assert run.returncode == 0, run.stderr
             messages.add(run.stdout)
-        assert len(messages) == 1
-        assert "lacks an arm summary for" in messages.pop()
+        assert messages == {
+            "shared-arm variance unidentifiable: trial 'T1' lacks an arm summary for 'b', 'a', 'c' "
+            "(primary / outcome)\n"
+        }
 
 
 class TestAssemble:

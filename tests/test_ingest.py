@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HBA1C, WEIGHT, quantile_bisect
+from conftest import CYCLIC_TRIAL_CSV, HBA1C, WEIGHT, quantile_bisect
 from estimeta.estimands import (
     EndpointSpec,
     Estimand,
@@ -27,6 +27,7 @@ from estimeta.ingest import (
     ContrastEstimate,
     EvidenceBase,
     EvidenceFormatError,
+    Issue,
     TrialRecord,
     UncertaintySource,
     contrast_from_arms,
@@ -266,7 +267,44 @@ T1,primary,outcome,B,A,1.0,0.5,,,
 T1,primary,outcome,C,A,0.5,0.5,,,
 """
         issues = validate_evidence(parse_evidence_text(text))
-        assert any("shared-arm variance unidentifiable" in i.message for i in issues)
+        # the message an analysis gives, naming every missing arm in order of first appearance
+        assert [i.message for i in issues] == [
+            "shared-arm variance unidentifiable: trial 'T1' lacks an arm summary for 'b', 'a', 'c' "
+            "(primary / outcome)"
+        ]
+
+    def test_cyclic_multi_arm_trial_warns(self):
+        issues = validate_evidence(parse_evidence_text(CYCLIC_TRIAL_CSV))
+        assert issues == [
+            Issue("warning", "covariance of trial 'T1' is not positive definite: its contrasts are "
+                             "linearly dependent (they close a cycle over its arms)")
+        ]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c, a: ([dataclasses.replace(c, trial_id="T9")], []),
+             "contrast references unknown trial 'T9'"),
+            (lambda c, a: ([dataclasses.replace(c, treatment="Z")], []),
+             "contrast treatment 'Z' is not an arm of 'T1'"),
+            (lambda c, a: ([dataclasses.replace(c, estimand_label="secondary")], []),
+             "contrast references undeclared estimand 'secondary' (outcome) in trial 'T1'"),
+            (lambda c, a: ([c, c], []), "duplicate contrast 'A' vs 'B' in 'T1'"),
+            (lambda c, a: ([c], [dataclasses.replace(a, trial_id="T9")]),
+             "arm summary references unknown trial 'T9'"),
+            (lambda c, a: ([c], [dataclasses.replace(a, treatment="Z")]),
+             "arm treatment 'Z' is not an arm of 'T1'"),
+        ],
+        ids=["unknown-trial", "not-an-arm", "undeclared-estimand", "duplicate", "arm-unknown-trial",
+             "arm-not-an-arm"],
+    )
+    def test_each_error_check_on_a_built_base(self, edit, message):
+        # parsing refuses each of these, so only a base built in code can carry one
+        base = parse_evidence_text(MINIMAL)
+        arm = ArmSummary("T1", "A", 100, "outcome", "primary", 0.0, -1.0, 1.0)
+        contrasts, arms = edit(base.contrasts[0], arm)
+        issues = validate_evidence(dataclasses.replace(base, contrasts=tuple(contrasts), arm_summaries=tuple(arms)))
+        assert [i for i in issues if i.severity == "error"] == [Issue("error", message)]
 
     def test_two_arm_single_trial_is_clean(self):
         assert validate_evidence(parse_evidence_text(MINIMAL)) == []

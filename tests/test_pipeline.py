@@ -16,6 +16,7 @@ from conftest import (
     DULA_30,
     DULA_45,
     HBA1C,
+    REFUSED_FACTOR_CSV,
     SEMA_2,
     TWO_ESTIMANDS_CSV,
     WEIGHT,
@@ -40,6 +41,7 @@ from estimeta.ingest import (
     UncertaintySource,
     evidence_to_dict,
     parse_evidence_text,
+    validate_evidence,
 )
 from estimeta.pipeline import (
     AnalysisConfig,
@@ -464,7 +466,7 @@ class TestIdentifiability:
 
     @pytest.mark.parametrize("variances", [(0.25, 0.5, 1.0), (0.1, 0.2, 0.3), (0.01, 0.02, 0.03)])
     def test_dependent_contrasts_unidentifiable(self, variances):
-        # rounding leaves the smallest eigenvalue of the 0.01/0.02/0.03 block positive
+        # union-find refuses each: rounding would leave the 0.01/0.02/0.03 block factorizable
         base = triangle_base(variances)
         assert verdict_of(base) == (FeasibilityVerdict.INFEASIBLE, ["covariance_unidentifiable"])
         with pytest.raises(InfeasibleAnalysisError, match="linearly dependent"):
@@ -478,7 +480,7 @@ class TestIdentifiability:
         )
 
     def test_numerically_singular_star_stays_unidentifiable(self):
-        # B-A and C-A are independent, but 1e20 + 1 rounds to 1e20: the eigenvalue guard refuses it
+        # B-A and C-A are independent, but 1e20 + 1 rounds to 1e20: its Cholesky factorization fails
         base = synthetic_base([("T1", ["A", "B", "C"], [1e20, 1e-20, 1.0], [1.0, 0.5])])
         assert verdict_of(base) == (FeasibilityVerdict.INFEASIBLE, ["covariance_unidentifiable"])
 
@@ -507,6 +509,45 @@ class TestIdentifiability:
         with pytest.raises(InfeasibleAnalysisError, match="linearly dependent") as raised:
             run_analysis(base, meta, "outcome", force=True)
         assert [r.code for r in raised.value.report.reasons] == ["covariance_unidentifiable"] * 2
+
+
+class TestOneCovarianceVerdict:
+    """Feasibility, validation and the solve judge a trial's block by one Cholesky factorization."""
+
+    def test_refused_factorization_is_infeasible(self):
+        base = parse_evidence_text(REFUSED_FACTOR_CSV)
+        meta = synthesize_meta(base, "outcome", HYP)
+        report = feasibility_report(base, meta, "outcome")
+        assert (report.verdict, [r.code for r in report.reasons]) == (
+            FeasibilityVerdict.INFEASIBLE, ["covariance_unidentifiable"]
+        )
+        assert report.reasons[0].message == (
+            "covariance of trial 'T1' is not positive definite (its Cholesky factorization fails)"
+        )
+        assert [i.message for i in validate_evidence(base)] == [report.reasons[0].message]
+        for force in (False, True):
+            with pytest.raises(InfeasibleAnalysisError, match="Cholesky factorization fails"):
+                run_analysis(base, meta, "outcome", force=force)
+
+    def test_extreme_arm_variances_get_one_verdict(self):
+        rng = np.random.default_rng(20261019)
+        outcomes = Counter()
+        for _ in range(1000):
+            variances = list(10.0 ** rng.uniform(-140.0, 140.0, size=3))  # log-uniform
+            base = synthetic_base([("T1", ["A", "B", "C"], variances, [1.0, 0.5])])
+            meta = synthesize_meta(base, "outcome", HYP)
+            report = feasibility_report(base, meta, "outcome")
+            refused = [r.message for r in report.reasons if r.code == "covariance_unidentifiable"]
+            assert [i.message for i in validate_evidence(base)] == refused, variances
+            if refused:
+                outcomes["refused"] += 1
+                continue
+            try:  # the solve may find the slice ill-conditioned, but never its block unfactorizable
+                run_analysis(base, meta, "outcome")
+                outcomes["solved"] += 1
+            except engine.NumericalError:
+                outcomes["ill-conditioned"] += 1
+        assert min(outcomes["refused"], outcomes["solved"], outcomes["ill-conditioned"]) > 0, outcomes
 
 
 class TestOneNumericVerdict:
@@ -746,6 +787,30 @@ class TestConfig:
         doc = {"meta_estimands": [{"strategy": "hypothetical", "ie_handlings": []}]}
         with pytest.raises(EvidenceFormatError, match=r"meta_estimands\[0\]: .*both 'strategy'"):
             load_config(doc, case_base)
+
+    @pytest.mark.parametrize("first_kind", ["shorthand", "full"])
+    @pytest.mark.parametrize("second_kind", ["shorthand", "full"])
+    @pytest.mark.parametrize("second_label", ["target", "Target"])
+    def test_label_declared_twice_for_an_endpoint_rejected(self, case_base, first_kind, second_kind, second_label):
+        records = {
+            "shorthand": lambda label: {"label": label, "strategy": "hypothetical"},
+            "full": lambda label: {**evidence_to_dict(case_base)["estimands"][0], "label": label,
+                                   "treatments": [SEMA_2, DULA_30], "matching_mode": "strict"},
+        }
+        doc = {"meta_estimands": [records[first_kind]("target"), records[second_kind](second_label)]}
+        with pytest.raises(EvidenceFormatError, match=r"^meta_estimands\[1\]: .* declared twice for endpoint"):
+            load_config(doc, case_base)
+
+    def test_one_label_on_different_endpoints_accepted(self, case_base):
+        full = [{**record, "label": "target", "treatments": [SEMA_2, DULA_30]}
+                for record in evidence_to_dict(case_base)["estimands"][:2]]
+        assert {r["endpoint_name"].lower() for r in full} == {HBA1C, WEIGHT}
+        config = load_config({"meta_estimands": full}, case_base)
+        assert [config.meta_for("Target", key).endpoint.key for key in (HBA1C, WEIGHT)] == [HBA1C, WEIGHT]
+        shorthand = {"label": "target", "strategy": "hypothetical"}
+        config = load_config({"meta_estimands": [shorthand, full[1]], "endpoints": [HBA1C]}, case_base)
+        assert [config.meta_for("target", key) for key in (HBA1C, WEIGHT)] == list(config.meta_estimands)
+        assert config.meta_estimands[0] == synthesize_meta(case_base, HBA1C, HYP, label="target")
 
     def test_resolve_meta_prefers_config(self, case_base):
         config = load_config(
