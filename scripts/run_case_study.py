@@ -26,7 +26,8 @@ def banner(text: str) -> None:
 
 def main() -> None:
     base = em.parse_evidence(em.case_study_path())
-    print(f"evidence base: {len(base.trials)} trials, {len(base.treatments())} treatments, "
+    treatments = {key for trial in base.trials.values() for key in trial.arm_keys}
+    print(f"evidence base: {len(base.trials)} trials, {len(treatments)} treatments, "
           f"{len(base.contrasts)} contrasts")
     for issue in em.validate_evidence(base):
         print(f"  {issue.severity}: {issue.message}")

@@ -33,6 +33,7 @@ from .network import (
 )
 from .pipeline import (
     AnalysisConfig,
+    IncomparableSlicesError,
     InfeasibleAnalysisError,
     StrategyComparison,
     compare_strategies,
@@ -140,6 +141,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         for reason in exc.report.reasons:
             print(f"  [{reason.severity}] {reason.code}: {reason.message}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except IncomparableSlicesError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (NumericalError, ConnectivityCheckError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

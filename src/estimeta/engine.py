@@ -182,7 +182,8 @@ def _block_for_trial(
         for arm in dict.fromkeys(arm for c in group for arm in (c.treatment_key, c.comparator_key))
     }
     if missing := [repr(arm) for arm, summary in summaries.items() if summary is None]:
-        if independence_fallback:
+        if independence_fallback:  # unit arm variances: a cycle over the arms is refused first
+            trial_covariance(group, arm_variances=dict.fromkeys(summaries, 1.0))
             return np.diag([c.se**2 for c in group])
         raise CovarianceError(
             f"shared-arm variance unidentifiable: trial {sample.trial_id!r} lacks an arm "

@@ -11,19 +11,41 @@ which trial results are allowed into a pooled analysis.
 from __future__ import annotations
 
 import enum
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 
+# Set by `ingest` for one parse only: raw text -> its `_forms`, and `(type(v), v)` -> interned `v`.
+_PARSE_MEMO: ContextVar[Optional[dict]] = ContextVar("parse_memo", default=None)
+
+
+def _forms(text: str) -> tuple[str, str]:
+    """(display, canonical) forms of a text; within a parse, computed once per text and interned."""
+    memo = _PARSE_MEMO.get()
+    if memo is None or (forms := memo.get(text)) is None:
+        shown = " ".join(text.split())
+        forms = shown, shown.lower()
+        if memo is not None:
+            forms = memo[text] = tuple(map(_interned, forms))
+    return forms
+
+
+def _interned(value):
+    """Within a parse, the first value equal to `value` and of its exact type; else `value`."""
+    memo = _PARSE_MEMO.get()
+    return value if memo is None else memo.setdefault((type(value), value), value)
+
+
 def canonical(text: str) -> str:
     """Lowercase, trim, and collapse internal whitespace (`str.isspace` characters)."""
-    return " ".join(text.split()).lower()
+    return _forms(text)[1]
 
 
 def normalize_id(text: str) -> str:
     """Trim and collapse whitespace, preserving case for display."""
-    return " ".join(text.split())
+    return _forms(text)[0]
 
 
 class IntercurrentEventStrategy(enum.Enum):
@@ -129,13 +151,13 @@ class Estimand:
     events: Mapping[str, IntercurrentEventStrategy] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "treatments", frozenset(normalize_id(t) for t in self.treatments))
+        object.__setattr__(self, "treatments", _interned(frozenset(normalize_id(t) for t in self.treatments)))
         if len(self.treatments) < 2:
             raise ValueError("a comparative estimand needs at least two treatments")
         object.__setattr__(self, "ie_handlings", _freeze_handlings(self.ie_handlings))
         object.__setattr__(self, "label_key", canonical(self.label))
         object.__setattr__(self, "population_key", canonical(self.population))
-        object.__setattr__(self, "treatment_keys", frozenset(canonical(t) for t in self.treatments))
+        object.__setattr__(self, "treatment_keys", _interned(frozenset(canonical(t) for t in self.treatments)))
         object.__setattr__(self, "events", {h.event_name: h.strategy for h in self.ie_handlings})
 
     def strategy_for(self, event_name: str) -> Optional[IntercurrentEventStrategy]:

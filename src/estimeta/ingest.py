@@ -8,6 +8,7 @@ Uncertainty is completed at parse time: a contrast may carry a reported
 standard error, a confidence interval (SE back-calculated from its width),
 or nothing at all, in which case the SE is derived from the two arms'
 confidence intervals.  The precedence is reported > interval > arms.
+A parse shares one object per distinct value among the records that carry it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .estimands import (
     IntercurrentEventHandling,
     IntercurrentEventStrategy,
     SummaryMeasure,
+    _PARSE_MEMO,
+    _interned,
     canonical,
     normalize_id,
 )
@@ -218,13 +221,6 @@ class TrialRecord:
     def estimand_for(self, label: str, endpoint_key: str) -> Optional[Estimand]:
         return self.estimands.get((canonical(label), canonical(endpoint_key)))
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        seen: dict[str, str] = {}
-        for est in self.estimands.values():
-            seen.setdefault(est.label_key, est.label)
-        return tuple(seen.values())
-
 
 @dataclass(frozen=True)
 class EvidenceBase:
@@ -263,13 +259,6 @@ class EvidenceBase:
         """Trial id -> the trial's estimands of a canonical endpoint key, in declaration
         order; a trial declaring none for the endpoint is absent."""
         return self._estimand_index.get(endpoint_key, {})
-
-    def treatments(self) -> tuple[str, ...]:
-        seen: dict[str, str] = {}
-        for trial in self.trials.values():
-            for arm, key in zip(trial.arms, trial.arm_keys):
-                seen.setdefault(key, arm)
-        return tuple(seen.values())
 
     def estimand_of(self, contrast: ContrastEstimate) -> Optional[Estimand]:
         trial = self.trials.get(contrast.trial_id)
@@ -373,15 +362,15 @@ def _estimand(record: Mapping, treatments: Sequence[str], kind: type = Estimand,
     measure and intercurrent-event handlings: evidence estimand records and full plan definitions."""
     return kind(
         label=normalize_id(_text(record, "label")),
-        population=_text(record, "population").strip(),
+        population=_interned(_text(record, "population").strip()),
         treatments=frozenset(treatments),
-        endpoint=EndpointSpec(
+        endpoint=_interned(EndpointSpec(
             name=normalize_id(_text(record, "endpoint_name")),
-            units=_text(record, "units").strip(),
+            units=_interned(_text(record, "units").strip()),
             timepoint_weeks=_integer(_field(record, "timepoint_weeks"), "timepoint_weeks"),
-        ),
+        )),
         summary_measure=SummaryMeasure.parse(_text(record, "summary_measure")),
-        ie_handlings=_handlings(record),
+        ie_handlings=_interned(_handlings(record)),
         **policy,
     )
 
@@ -616,10 +605,13 @@ def _json_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
 
 
 def _parse(stream: IO[str], format: str) -> EvidenceBase:
-    builder = _Builder()
-    for section, record, locator in (_json_records if format == "json" else _csv_records)(stream):
-        builder.add(section, record, locator)
-    return builder.build()
+    builder, token = _Builder(), _PARSE_MEMO.set({})  # the parse's memo: gone when it returns or raises
+    try:
+        for section, record, locator in (_json_records if format == "json" else _csv_records)(stream):
+            builder.add(section, record, locator)
+        return builder.build()
+    finally:
+        _PARSE_MEMO.reset(token)
 
 
 Source = Union[str, Path, IO[str]]

@@ -64,6 +64,10 @@ class InfeasibleAnalysisError(RuntimeError):
         super().__init__(f"analysis infeasible: {blockers or report.verdict.value}")
 
 
+class IncomparableSlicesError(ValueError):
+    """Raised when the evidence leaves the compared slices with different treatments."""
+
+
 @dataclass(frozen=True)
 class Reason:
     code: str
@@ -312,8 +316,9 @@ def compare_strategies(
     labels = list(results)
     if len(labels) < 2:
         raise ValueError("compare_strategies needs at least two results")
-    if len({frozenset(res.comparisons.columns) for res in results.values()}) != 1:
-        raise ValueError("results cover different treatment sets")
+    covered = [set(res.comparisons.columns) for res in results.values()]
+    if partial := set.union(*covered) - set.intersection(*covered):
+        raise IncomparableSlicesError(f"results cover different treatment sets: some slices lack {sorted(partial)}")
 
     baseline, attenuated = labels[0], labels[1]
     if len(labels) == 2:

@@ -84,6 +84,19 @@ class TestOneCovarianceVerdict:
             assert main(["analyze", "--input", str(path), "--estimand", "hypothetical", *force]) == 3
             assert f"  [error] covariance_unidentifiable: {message}\n" in capsys.readouterr().err
 
+    def test_forced_cycle_without_arm_rows_is_refused(self, tmp_path, capsys):
+        # T1's B-A, C-A and C-B carry reported SEs and no arm rows: the fallback would count them as independent
+        head, _ = CYCLIC_TRIAL_CSV.split("#arms")
+        path = tmp_path / "evidence.csv"
+        path.write_text(head.replace(",,,,", ",0.2,,,"), encoding="utf-8")
+        cycle = ("covariance_unidentifiable: covariance of trial 'T1' is not positive definite: its contrasts "
+                 "are linearly dependent (they close a cycle over its arms)")
+        for force in ([], ["--force"]):
+            assert main(["analyze", "--input", str(path), "--estimand", "hypothetical", *force]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("infeasible: ")
+            assert (cycle in err) == bool(force)  # unforced, the missing arm rows are reason enough
+
 
 class TestNetwork:
     def test_connected_exit_zero(self, capsys):
@@ -494,6 +507,26 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err == "usage error: --estimands names the meta-estimand 'hypothetical' twice\n"
         assert ran == []
+
+    def test_slices_covering_different_treatments_are_infeasible(self, tmp_path, capsys):
+        # T1 reports B-A under both strategies, T2 reports C-A under the hypothetical one only
+        path = tmp_path / "evidence.csv"
+        path.write_text(
+            "#trials\ntrial_id,arms\nT1,A;B\nT2,A;C\n"
+            "#estimands\ntrial_id,label,population,endpoint_name,units,timepoint_weeks,summary_measure,ie_handlings\n"
+            "T1,hyp,adults,outcome,u,12,mean_difference,dropout:hypothetical\n"
+            "T1,tp,adults,outcome,u,12,mean_difference,dropout:treatment_policy\n"
+            "T2,hyp,adults,outcome,u,12,mean_difference,dropout:hypothetical\n"
+            "T2,tp,adults,outcome,u,12,mean_difference,dropout:treatment_policy\n"
+            "#contrasts\ntrial_id,estimand_label,endpoint_name,treatment,comparator,md,se,ci_lower,ci_upper,ci_level\n"
+            "T1,hyp,outcome,B,A,1.0,0.2,,,\nT1,tp,outcome,B,A,0.8,0.2,,,\nT2,hyp,outcome,C,A,0.5,0.3,,,\n",
+            encoding="utf-8",
+        )
+        argv = ["compare", "--input", str(path), "--estimands", "hypothetical", "treatment_policy"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "infeasible: results cover different treatment sets: some slices lack ['c']\n"
 
 
 class TestHelp:

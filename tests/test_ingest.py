@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CYCLIC_TRIAL_CSV, HBA1C, WEIGHT, quantile_bisect
+from estimeta import ingest
 from estimeta.estimands import (
+    _PARSE_MEMO,
     EndpointSpec,
     Estimand,
     IntercurrentEventHandling,
@@ -161,11 +163,11 @@ class TestContrastFromArms:
 class TestParseEvidence:
     def test_case_study_shape(self, case_base):
         assert len(case_base.trials) == 3
-        assert len(case_base.treatments()) == 6
+        assert len({key for trial in case_base.trials.values() for key in trial.arm_keys}) == 6
         assert case_base.endpoint_keys() == (HBA1C, WEIGHT)
         assert len(case_base.contrasts) == 16
         for trial in case_base.trials.values():
-            assert len(trial.labels) == 2
+            assert len({est.label_key for est in trial.estimands.values()}) == 2
 
     def test_uncertainty_sources(self, case_base):
         by_trial = {}
@@ -481,6 +483,74 @@ class TestFormatParity:
         doc = parity_doc()
         doc["estimands"][0]["direction"] = "higher_is_better"
         assert parse_json_doc(doc) == parse_evidence_text(PARITY_CSV)
+
+
+def strings(base: EvidenceBase):
+    """Every name and key a base keeps."""
+    for c in base.contrasts:
+        yield from (c.trial_id, c.treatment, c.comparator, c.endpoint, c.estimand_label,
+                    c.label_key, c.treatment_key, c.comparator_key)
+    for a in base.arm_summaries:
+        yield from (a.trial_id, a.treatment, a.endpoint, a.estimand_label, a.label_key, a.treatment_key)
+    for trial in base.trials.values():
+        yield from (trial.trial_id, *trial.arms, *trial.arm_keys)
+        for e in trial.estimands.values():
+            yield from (e.label, e.label_key, e.population, e.population_key, *e.treatments, *e.treatment_keys,
+                        e.endpoint.name, e.endpoint.key, e.endpoint.units, e.endpoint.units_key, *e.events)
+
+
+def objects_per_value(values) -> set[int]:
+    """How many objects carry each distinct value (hashed by value, told apart by identity)."""
+    ids: dict = {}
+    for value in values:
+        ids.setdefault(value, set()).add(id(value))
+    return {len(same) for same in ids.values()}
+
+
+class TestParseMemo:
+    """A parse converts each distinct value once and shares it, through a memo that lives as long as it."""
+
+    @pytest.mark.parametrize("section, field", [("estimands", "timepoint_weeks"), ("arms", "n")])
+    def test_true_after_one_is_refused_at_its_own_record(self, section, field):
+        # True == 1 and hash(True) == hash(1): a memo keyed on raw values alone would accept it
+        doc = parity_doc()
+        doc["estimands"].append(dict(doc["estimands"][0], label="secondary"))
+        doc[section][0][field], doc[section][1][field] = 1, True
+        with pytest.raises(EvidenceFormatError, match=rf"^{section}\[1\]: field '{field}' is not a number: True$"):
+            parse_json_doc(doc)
+        doc[section][1][field] = 1
+        parse_json_doc(doc)
+
+    def test_memo_lives_only_while_a_parse_runs(self, monkeypatch):
+        during, build = [], ingest._Builder.build
+
+        def spy(builder):
+            during.append(_PARSE_MEMO.get())
+            return build(builder)
+
+        monkeypatch.setattr(ingest._Builder, "build", spy)
+        assert _PARSE_MEMO.get() is None
+        parse_evidence_text(MINIMAL)
+        assert _PARSE_MEMO.get() is None
+        row = "T1,primary,outcome,A,B,1.0,0.5,,,\n"
+        with pytest.raises(EvidenceFormatError, match="duplicate contrast"):
+            parse_evidence_text(MINIMAL.replace(row, 2 * row))
+        assert _PARSE_MEMO.get() is None
+        assert [type(memo) for memo in during] == [dict, dict] and during[0] and during[0] is not during[1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_object_per_distinct_value(self, case_base, fmt):
+        base = parse_evidence_text(serialize_evidence(case_base, fmt), fmt)
+        assert base == case_base
+        assert objects_per_value(strings(base)) == {1}  # e.g. every contrast's endpoint key is one str
+        estimands = [e for trial in base.trials.values() for e in trial.estimands.values()]
+        for part in ("endpoint", "ie_handlings", "treatments", "treatment_keys"):
+            values = [getattr(e, part) for e in estimands]
+            assert len(set(values)) < len(values) and objects_per_value(values) == {1}
+
+    def test_a_direct_construction_shares_nothing(self):
+        first, second = (EndpointSpec(name=" outcome  x ", units="u", timepoint_weeks=12) for _ in range(2))
+        assert first == second and first.key == second.key == "outcome x" and first.key is not second.key
 
 
 class TestNumericCoercion:
