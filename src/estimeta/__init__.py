@@ -38,7 +38,6 @@ from .ingest import (
     ContrastEstimate,
     EvidenceBase,
     EvidenceFormatError,
-    contrast_from_arms,
     parse_evidence,
     se_from_ci,
     serialize_evidence,

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .engine import (
-    EngineError,
     NmaResult,
     NumericalError,
     comparison_rows,
@@ -148,7 +147,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NumericalError, ConnectivityCheckError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (EngineError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -334,7 +333,7 @@ def _run_slices(args, labels: Sequence[str]) -> tuple[str, float, dict[str, NmaR
     ci_level = args.ci_level if args.ci_level is not None else config.ci_level if config else 0.95
     metas = [resolve_meta(base, endpoint, label, config=config, tolerance_weeks=tolerance, mode=mode)
              for label in labels]
-    if len({canonical(m.label) for m in metas}) < len(metas):  # only compare takes two labels
+    if len({m.label_key for m in metas}) < len(metas):  # only compare takes two labels
         raise UsageError(f"--estimands names the meta-estimand {metas[0].label!r} twice")
     results = {
         meta.label: run_analysis(base, meta, endpoint, reference=reference, ci_level=ci_level, force=args.force)

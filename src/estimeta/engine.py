@@ -11,8 +11,8 @@ factor of its block and uses QR on the whitened design; neither the dense
 covariance (built only on demand, as `GlsSystem.sigma`) nor its inverse is
 formed.  The singular values of the whitened design's R are a slice's one
 numeric verdict (assembly checks connectivity by traversal alone).  Each
-solve computes its league table once, as node-by-node arrays of md, se and CI
-bounds; `NmaResult.comparisons` builds a `ComparisonResult` per pair read.
+solve computes its league table once, as node-by-node arrays of md and se;
+`NmaResult.comparisons` and `comparison()` form each interval by one formula.
 
 A slice's blocks are built once, by `trial_blocks`, from the caller's
 evidence base: the feasibility report keeps them, and `assemble_gls`, the
@@ -203,6 +203,11 @@ class ComparisonResult:
     ci_level: float
 
 
+def _interval(a: str, b: str, md: float, se: float, level: float, z: float) -> ComparisonResult:
+    """The comparison a minus b with its normal-based interval md -/+ z*se at `level`."""
+    return ComparisonResult(a, b, md, se, md - z * se, md + z * se, level)
+
+
 class LeagueView(Mapping):
     """Read-only (treatment, comparator) -> `ComparisonResult` over node-by-node arrays.
 
@@ -210,9 +215,9 @@ class LeagueView(Mapping):
     and in row-major node order; reading one builds its result from element [i, j].
     """
 
-    def __init__(self, treatments, ci_level, md, se, ci_lower, ci_upper) -> None:
-        self.treatments, self.ci_level = tuple(treatments), ci_level
-        self.md, self.se, self.ci_lower, self.ci_upper = md, se, ci_lower, ci_upper
+    def __init__(self, treatments, ci_level, md, se) -> None:
+        self.treatments, self.ci_level, self.md, self.se = tuple(treatments), ci_level, md, se
+        self._z = z_for_level(ci_level)  # refuses an invalid level
         self._index = {t: i for i, t in enumerate(self.treatments)}
         # canonical treatment -> its node index, the row and column of the arrays
         self.columns = {canonical(t): i for i, t in enumerate(self.treatments)}
@@ -220,13 +225,11 @@ class LeagueView(Mapping):
     def reindexed(self, order: Sequence[int], treatments: Sequence[str]) -> "LeagueView":
         """The same table with its nodes taken in `order` and named `treatments`."""
         ix = np.ix_(order, order)
-        return LeagueView(treatments, self.ci_level, self.md[ix], self.se[ix], self.ci_lower[ix], self.ci_upper[ix])
+        return LeagueView(treatments, self.ci_level, self.md[ix], self.se[ix])
 
     def at(self, i: int, j: int) -> ComparisonResult:
-        return ComparisonResult(
-            self.treatments[i], self.treatments[j], self.md.item(i, j), self.se.item(i, j),
-            self.ci_lower.item(i, j), self.ci_upper.item(i, j), self.ci_level,
-        )
+        return _interval(self.treatments[i], self.treatments[j], self.md.item(i, j), self.se.item(i, j),
+                         self.ci_level, self._z)
 
     def __getitem__(self, key) -> ComparisonResult:
         i, j = map(self._index.get, key) if isinstance(key, tuple) and len(key) == 2 else (None, None)
@@ -263,8 +266,8 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
     Whitens each trial's rows of X and y by the Cholesky factor of its block
     (blocks of one size in one batched call) and QR-factorizes the whitened
     design.  Conditioning of X' Sigma^-1 X is checked: above 1e8 a note is
-    recorded, above 1e12 the solve is refused.  The league table is computed here,
-    once, as arrays (an invalid `ci_level` raises here); `comparisons` reads them.
+    recorded, above 1e12 the solve is refused.  The league table's md and se are
+    computed here, once, as arrays; building its view refuses an invalid `ci_level`.
     """
     sizes = np.array([len(block) for block in system.blocks])
     starts = np.cumsum(sizes) - sizes
@@ -304,7 +307,6 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
     var = cov.diagonal()
     md = theta[:, None] - theta
     se = np.sqrt(np.maximum((var[:, None] - cov) - (cov - var), 0.0))
-    z = z_for_level(ci_level)
     return NmaResult(
         reference=system.reference,
         treatments=system.treatments,
@@ -312,7 +314,7 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
         estimates=estimates,
         covariance=covariance,
         ci_level=ci_level,
-        comparisons=LeagueView(system.treatments, ci_level, md, se, md - z * se, md + z * se),
+        comparisons=LeagueView(system.treatments, ci_level, md, se),
         condition_number=condition,
         notes=notes,
     )
@@ -325,9 +327,7 @@ def comparison(result: NmaResult, a: str, b: str, level: float | None = None) ->
     if None in index:
         raise EngineError(f"unknown treatment {(a, b)[index.index(None)]!r}")
     level = result.ci_level if level is None else level
-    md, se = view.md.item(*index), view.se.item(*index)
-    z = z_for_level(level)
-    return ComparisonResult(a, b, md, se, md - z * se, md + z * se, level)
+    return _interval(a, b, view.md.item(*index), view.se.item(*index), level, z_for_level(level))
 
 
 def league_table(result: NmaResult) -> tuple[ComparisonResult, ...]:

@@ -48,6 +48,16 @@ def normalize_id(text: str) -> str:
     return _forms(text)[0]
 
 
+def _parse_token(cls, token: str, what: str):
+    """The member of enum `cls` a token names, ignoring case, spacing, '-' and '_'."""
+    key = canonical(token).replace("-", "_").replace(" ", "_")
+    for member in cls:
+        if key == member.value:
+            return member
+    known = ", ".join(m.value for m in cls)
+    raise ValueError(f"unknown {what} {token!r} (known: {known})")
+
+
 class IntercurrentEventStrategy(enum.Enum):
     """The five recognised strategies for handling an intercurrent event."""
 
@@ -59,12 +69,7 @@ class IntercurrentEventStrategy(enum.Enum):
 
     @classmethod
     def parse(cls, token: str) -> "IntercurrentEventStrategy":
-        key = canonical(token).replace("-", "_").replace(" ", "_")
-        for member in cls:
-            if key == member.value:
-                return member
-        known = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown intercurrent-event strategy {token!r} (known: {known})")
+        return _parse_token(cls, token, "intercurrent-event strategy")
 
 
 class SummaryMeasure(enum.Enum):
@@ -74,16 +79,16 @@ class SummaryMeasure(enum.Enum):
 
     @classmethod
     def parse(cls, token: str) -> "SummaryMeasure":
-        key = canonical(token).replace("-", "_").replace(" ", "_")
-        for member in cls:
-            if key == member.value:
-                return member
-        raise ValueError(f"unknown summary measure {token!r}")
+        return _parse_token(cls, token, "summary measure")
 
 
 class MatchingMode(enum.Enum):
     STRICT = "strict"
     LENIENT = "lenient"
+
+    @classmethod
+    def parse(cls, token: str) -> "MatchingMode":
+        return _parse_token(cls, token, "matching mode")
 
 
 @dataclass(frozen=True)
@@ -159,13 +164,6 @@ class Estimand:
         object.__setattr__(self, "population_key", canonical(self.population))
         object.__setattr__(self, "treatment_keys", _interned(frozenset(canonical(t) for t in self.treatments)))
         object.__setattr__(self, "events", {h.event_name: h.strategy for h in self.ie_handlings})
-
-    def strategy_for(self, event_name: str) -> Optional[IntercurrentEventStrategy]:
-        """Declared strategy for an event, or None if the trial never declared it."""
-        key = canonical(event_name)
-        if not key:
-            raise ValueError("intercurrent event name is empty after canonicalization")
-        return self.events.get(key)
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ def _coerce(entity, convert, *names: str) -> None:
             object.__setattr__(entity, name, convert(value, name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArmSummary:
     """One arm's mean change from baseline with its confidence interval."""
 
@@ -142,7 +142,7 @@ class ArmSummary:
         return self.se * self.se
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContrastEstimate:
     """One trial's relative effect (treatment minus comparator) with its SE."""
 
@@ -180,30 +180,6 @@ class ContrastEstimate:
     @property
     def key(self) -> tuple[str, str, str, str, str]:
         return (self.trial_id, self.treatment_key, self.comparator_key, self.endpoint, self.label_key)
-
-
-def contrast_from_arms(a: ArmSummary, b: ArmSummary) -> ContrastEstimate:
-    """Derive a contrast (a minus b) from two arm summaries of the same trial."""
-    if a.trial_id != b.trial_id:
-        raise ValueError(f"arms belong to different trials: {a.trial_id!r} vs {b.trial_id!r}")
-    if a.endpoint != b.endpoint:
-        raise ValueError(f"arms report different endpoints: {a.endpoint!r} vs {b.endpoint!r}")
-    if a.label_key != b.label_key:
-        raise ValueError(
-            f"arms report different estimands: {a.estimand_label!r} vs {b.estimand_label!r}"
-        )
-    if a.treatment_key == b.treatment_key:
-        raise ValueError(f"both arms are {a.treatment!r}")
-    return ContrastEstimate(
-        trial_id=a.trial_id,
-        treatment=a.treatment,
-        comparator=b.treatment,
-        endpoint=a.endpoint,
-        estimand_label=a.estimand_label,
-        md=a.mean_change - b.mean_change,
-        se=math.hypot(a.se, b.se),
-        source=UncertaintySource.FROM_ARMS,
-    )
 
 
 @dataclass(frozen=True)
@@ -730,6 +706,7 @@ def validate_evidence(base: EvidenceBase) -> list[Issue]:
             )
         seen.add(c.key)
 
+    seen.clear()
     for arm in base.arm_summaries:
         trial = base.trials.get(arm.trial_id)
         if trial is None:
@@ -738,6 +715,9 @@ def validate_evidence(base: EvidenceBase) -> list[Issue]:
             issues.append(
                 Issue("error", f"arm treatment {arm.treatment!r} is not an arm of {arm.trial_id!r}")
             )
+        if arm.key in seen:  # the base keeps the first; a serialized copy would not parse
+            issues.append(Issue("error", f"duplicate arm summary for {arm.treatment!r} in {arm.trial_id!r}"))
+        seen.add(arm.key)
 
     groups: dict[tuple[str, str, str], list[ContrastEstimate]] = {}
     for c in base.contrasts:

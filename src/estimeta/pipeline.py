@@ -447,10 +447,8 @@ def synthesize_meta(
         )
 
     all_estimands = [e for ests in per_trial.values() for e in ests]
-    population = _modal(canonical(e.population) for e in all_estimands)
-    display_population = next(
-        e.population for e in all_estimands if canonical(e.population) == population
-    )
+    population = _modal(e.population_key for e in all_estimands)
+    display_population = next(e.population for e in all_estimands if e.population_key == population)
     timepoints = Counter(e.endpoint.timepoint_weeks for e in all_estimands)
     top = max(timepoints.values())
     timepoint = max(t for t, n in timepoints.items() if n == top)
@@ -526,7 +524,7 @@ class AnalysisConfig:
 
     def meta_for(self, label: str, endpoint: str) -> Optional[MetaEstimand]:
         key, lab = canonical(endpoint), canonical(label)  # load_config admits one record per pair
-        return next((m for m in self.meta_estimands if canonical(m.label) == lab and m.endpoint.key == key), None)
+        return next((m for m in self.meta_estimands if m.label_key == lab and m.endpoint.key == key), None)
 
 
 def load_config(source: str | Path | dict, base: EvidenceBase) -> AnalysisConfig:
@@ -552,7 +550,7 @@ def load_config(source: str | Path | dict, base: EvidenceBase) -> AnalysisConfig
             if (tolerance := _field(record, "timepoint_tolerance_weeks", None)) is not None:
                 policy["timepoint_tolerance_weeks"] = _integer(tolerance, "timepoint_tolerance_weeks")
             if _field(record, "matching_mode", None) is not None:
-                policy["matching_mode"] = MatchingMode(_text(record, "matching_mode"))
+                policy["matching_mode"] = MatchingMode.parse(_text(record, "matching_mode"))
             if (shorthand := _field(record, "strategy", None)) is None:
                 made = [_estimand(record, _names(record, "treatments"), MetaEstimand, **policy)]
             else:
@@ -566,7 +564,7 @@ def load_config(source: str | Path | dict, base: EvidenceBase) -> AnalysisConfig
             made = [synthesize_meta(base, endpoint, strategy, label=label, **policy) for endpoint in endpoints]
         with _located(locator):
             for meta in made:
-                if (key := (canonical(meta.label), meta.endpoint.key)) in metas:
+                if (key := (meta.label_key, meta.endpoint.key)) in metas:
                     raise ValueError(f"meta-estimand {meta.label!r} is declared twice for endpoint {key[1]!r}")
                 metas[key] = meta
     with _located("config"):

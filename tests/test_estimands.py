@@ -88,20 +88,19 @@ class TestStrategyParsing:
         with pytest.raises(ValueError, match="unknown intercurrent-event strategy"):
             IntercurrentEventStrategy.parse("imaginary")
 
-
-class TestStrategyLookup:
-    def test_declared_event(self, case_base):
-        est = case_base.trials["SUSTAIN FORTE"].estimand_for("treatment policy", HBA1C)
-        assert est.strategy_for(DOSE) is TP
-
-    def test_undeclared_event_is_absent(self, case_base):
-        est = case_base.trials["SUSTAIN 7"].estimand_for("de-jure", HBA1C)
-        assert est.strategy_for(DOSE) is None
-
-    def test_empty_event_name_rejected(self):
-        est = trial_estimand("x", HYP)
-        with pytest.raises(ValueError):
-            est.strategy_for("   ")
+    @pytest.mark.parametrize(
+        "cls, token, member",
+        [
+            (IntercurrentEventStrategy, "While On_Treatment", IntercurrentEventStrategy.WHILE_ON_TREATMENT),
+            (SummaryMeasure, " Mean-Difference ", SummaryMeasure.MEAN_DIFFERENCE),
+            (MatchingMode, "LENIENT", MatchingMode.LENIENT),
+        ],
+    )
+    def test_one_grammar_for_every_enum(self, cls, token, member):
+        assert cls.parse(token) is member
+        known = ", ".join(m.value for m in cls)
+        with pytest.raises(ValueError, match=rf"^unknown .* {token + 'x'!r} \(known: {known}\)$"):
+            cls.parse(token + "x")
 
 
 class TestCompareEstimands:

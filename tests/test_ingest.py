@@ -32,7 +32,6 @@ from estimeta.ingest import (
     Issue,
     TrialRecord,
     UncertaintySource,
-    contrast_from_arms,
     evidence_to_dict,
     parse_evidence_text,
     se_from_ci,
@@ -108,56 +107,6 @@ class TestSeFromCi:
     def test_strictly_decreasing_in_level(self, lower, width, level, bump):
         upper = lower + width
         assert se_from_ci(lower, upper, level + bump) < se_from_ci(lower, upper, level)
-
-
-def make_arm(treatment, mean, half, trial="T1"):
-    return ArmSummary(
-        trial_id=trial,
-        treatment=treatment,
-        n_randomized=100,
-        endpoint="outcome",
-        estimand_label="primary",
-        mean_change=mean,
-        ci_lower=mean - half,
-        ci_upper=mean + half,
-    )
-
-
-class TestContrastFromArms:
-    def test_root_sum_square(self):
-        a = make_arm("A", -1.0, 0.196)
-        b = make_arm("B", 0.0, 0.196)
-        contrast = contrast_from_arms(a, b)
-        assert contrast.md == pytest.approx(-1.0)
-        assert contrast.se == pytest.approx(0.141421, abs=1e-4)
-        assert contrast.source is UncertaintySource.FROM_ARMS
-
-    def test_identical_summaries_symmetric_se(self):
-        a = make_arm("A", -2.0, 0.4)
-        b = make_arm("B", -2.0, 0.4)
-        contrast = contrast_from_arms(a, b)
-        assert contrast.md == 0.0
-        assert contrast.se == pytest.approx(math.sqrt(2.0) * a.se, rel=1e-12)
-
-    def test_cross_trial_rejected(self):
-        with pytest.raises(ValueError, match="different trials"):
-            contrast_from_arms(make_arm("A", 0.0, 0.2), make_arm("B", 0.0, 0.2, trial="T2"))
-
-    def test_same_treatment_rejected(self):
-        with pytest.raises(ValueError):
-            contrast_from_arms(make_arm("A", 0.0, 0.2), make_arm("a ", 1.0, 0.2))
-
-    @given(
-        st.floats(min_value=-5, max_value=5),
-        st.floats(min_value=-5, max_value=5),
-        st.floats(min_value=0.01, max_value=2),
-        st.floats(min_value=0.01, max_value=2),
-    )
-    def test_antisymmetric(self, mean_a, mean_b, half_a, half_b):
-        a, b = make_arm("A", mean_a, half_a), make_arm("B", mean_b, half_b)
-        ab, ba = contrast_from_arms(a, b), contrast_from_arms(b, a)
-        assert ab.md == pytest.approx(-ba.md, abs=1e-12)
-        assert ab.se == ba.se
 
 
 class TestParseEvidence:
@@ -296,9 +245,11 @@ T1,primary,outcome,C,A,0.5,0.5,,,
              "arm summary references unknown trial 'T9'"),
             (lambda c, a: ([c], [dataclasses.replace(a, treatment="Z")]),
              "arm treatment 'Z' is not an arm of 'T1'"),
+            (lambda c, a: ([c], [a, dataclasses.replace(a, mean_change=0.5)]),
+             "duplicate arm summary for 'A' in 'T1'"),
         ],
         ids=["unknown-trial", "not-an-arm", "undeclared-estimand", "duplicate", "arm-unknown-trial",
-             "arm-not-an-arm"],
+             "arm-not-an-arm", "arm-duplicate"],
     )
     def test_each_error_check_on_a_built_base(self, edit, message):
         # parsing refuses each of these, so only a base built in code can carry one

@@ -812,6 +812,18 @@ class TestConfig:
         assert [config.meta_for("target", key) for key in (HBA1C, WEIGHT)] == list(config.meta_estimands)
         assert config.meta_estimands[0] == synthesize_meta(case_base, HBA1C, HYP, label="target")
 
+    @pytest.mark.parametrize("spelling", ["strict", "Strict", " STRICT "])
+    def test_matching_mode_takes_every_spelling_of_a_token(self, case_base, spelling):
+        doc = {"meta_estimands": [{"label": "target", "strategy": "hypothetical", "matching_mode": spelling}]}
+        metas = load_config(doc, case_base).meta_estimands
+        assert [m.matching_mode for m in metas] == [MatchingMode.STRICT] * 2
+
+    def test_unknown_matching_mode_names_the_known_values(self, case_base):
+        doc = {"meta_estimands": [{"label": "target", "strategy": "hypothetical", "matching_mode": "loose"}]}
+        known = r"\(known: strict, lenient\)"
+        with pytest.raises(EvidenceFormatError, match=rf"^meta_estimands\[0\]: unknown matching mode 'loose' {known}"):
+            load_config(doc, case_base)
+
     def test_resolve_meta_prefers_config(self, case_base):
         config = load_config(
             {"meta_estimands": [{"label": "hypothetical", "strategy": "hypothetical",
