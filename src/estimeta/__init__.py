@@ -43,9 +43,8 @@ from .ingest import (
     serialize_evidence,
     validate_evidence,
 )
-from .network import EvidenceNetwork, anchoring_path, build_network, connected_components, is_connected
+from .network import EvidenceNetwork, build_network, connected_components, is_connected
 from .pipeline import (
-    AnalysisConfig,
     FeasibilityVerdict,
     InfeasibleAnalysisError,
     compare_strategies,
@@ -54,6 +53,7 @@ from .pipeline import (
     run_analysis,
     synthesize_meta,
 )
+from .plan import AnalysisConfig
 
 __version__ = "0.1.0"
 

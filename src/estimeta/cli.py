@@ -31,17 +31,15 @@ from .network import (
     is_connected,
 )
 from .pipeline import (
-    AnalysisConfig,
     IncomparableSlicesError,
     InfeasibleAnalysisError,
     StrategyComparison,
     compare_strategies,
-    load_config,
-    resolve_meta,
     restrict_evidence,
     run_analysis,
     strategy_comparison_to_dict,
 )
+from .plan import AnalysisConfig, load_config, resolve_meta
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -11,41 +11,21 @@ which trial results are allowed into a pooled analysis.
 from __future__ import annotations
 
 import enum
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
-
-# Set by `ingest` for one parse only: raw text -> its `_forms`, and `(type(v), v)` -> interned `v`.
-_PARSE_MEMO: ContextVar[Optional[dict]] = ContextVar("parse_memo", default=None)
-
-
-def _forms(text: str) -> tuple[str, str]:
-    """(display, canonical) forms of a text; within a parse, computed once per text and interned."""
-    memo = _PARSE_MEMO.get()
-    if memo is None or (forms := memo.get(text)) is None:
-        shown = " ".join(text.split())
-        forms = shown, shown.lower()
-        if memo is not None:
-            forms = memo[text] = tuple(map(_interned, forms))
-    return forms
-
-
-def _interned(value):
-    """Within a parse, the first value equal to `value` and of its exact type; else `value`."""
-    memo = _PARSE_MEMO.get()
-    return value if memo is None else memo.setdefault((type(value), value), value)
+from .records import as_integer, forms, interned, shared, text_of, value_of
 
 
 def canonical(text: str) -> str:
     """Lowercase, trim, and collapse internal whitespace (`str.isspace` characters)."""
-    return _forms(text)[1]
+    return forms(text)[1]
 
 
 def normalize_id(text: str) -> str:
     """Trim and collapse whitespace, preserving case for display."""
-    return _forms(text)[0]
+    return forms(text)[0]
 
 
 def _parse_token(cls, token: str, what: str):
@@ -102,6 +82,8 @@ class IntercurrentEventHandling:
         name = canonical(self.event_name)
         if not name:
             raise ValueError("intercurrent event name is empty after canonicalization")
+        if ";" in name:  # a CSV cell joins a trial's events with ';'
+            raise ValueError(f"intercurrent event name {name!r} contains ';'")
         object.__setattr__(self, "event_name", name)
 
 
@@ -152,18 +134,53 @@ class Estimand:
     label_key: str = field(init=False, repr=False, compare=False)
     population_key: str = field(init=False, repr=False, compare=False)
     treatment_keys: frozenset[str] = field(init=False, repr=False, compare=False)
-    # canonical event name -> declared strategy, in declaration order
+    # canonical event name -> declared strategy, in declaration order; read-only, one per
+    # distinct handlings within a parse
     events: Mapping[str, IntercurrentEventStrategy] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "treatments", _interned(frozenset(normalize_id(t) for t in self.treatments)))
+        object.__setattr__(self, "treatments", interned(frozenset(normalize_id(t) for t in self.treatments)))
         if len(self.treatments) < 2:
             raise ValueError("a comparative estimand needs at least two treatments")
         object.__setattr__(self, "ie_handlings", _freeze_handlings(self.ie_handlings))
         object.__setattr__(self, "label_key", canonical(self.label))
         object.__setattr__(self, "population_key", canonical(self.population))
-        object.__setattr__(self, "treatment_keys", _interned(frozenset(canonical(t) for t in self.treatments)))
-        object.__setattr__(self, "events", {h.event_name: h.strategy for h in self.ie_handlings})
+        if not (self.label_key and self.population_key):  # a blank CSV cell is an absent field
+            raise ValueError(f"estimand {'population' if self.label_key else 'label'} must be nonempty")
+        object.__setattr__(self, "treatment_keys", interned(frozenset(canonical(t) for t in self.treatments)))
+        events = shared((MappingProxyType, self.ie_handlings), lambda: MappingProxyType(
+            {h.event_name: h.strategy for h in self.ie_handlings}))
+        object.__setattr__(self, "events", events)
+
+    @classmethod
+    def from_record(cls, record: Mapping, treatments: Iterable[str], **policy) -> "Estimand":
+        """An estimand from a record's label, population, endpoint (name, units, timepoint), summary
+        measure and intercurrent-event handlings: evidence estimand records and full plan definitions."""
+        return cls(
+            label=normalize_id(text_of(record, "label")),
+            population=interned(text_of(record, "population").strip()),
+            treatments=frozenset(treatments),
+            endpoint=interned(EndpointSpec(
+                name=normalize_id(text_of(record, "endpoint_name")),
+                units=interned(text_of(record, "units").strip()),
+                timepoint_weeks=as_integer(value_of(record, "timepoint_weeks"), "timepoint_weeks"),
+            )),
+            summary_measure=SummaryMeasure.parse(text_of(record, "summary_measure")),
+            ie_handlings=interned(_handlings(record)),
+            **policy,
+        )
+
+
+def _handlings(record: Mapping) -> tuple[IntercurrentEventHandling, ...]:
+    items = value_of(record, "ie_handlings", [])
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise TypeError("field 'ie_handlings' must be a list of {event_name, strategy} objects")
+    return tuple(
+        IntercurrentEventHandling(
+            text_of(item, "event_name"), IntercurrentEventStrategy.parse(text_of(item, "strategy"))
+        )
+        for item in items
+    )
 
 
 @dataclass(frozen=True)
@@ -197,6 +214,11 @@ class MetaEstimand(Estimand):
             timepoint_tolerance_weeks=tolerance_weeks,
             matching_mode=mode,
         )
+
+    def verdict_key(self, est: Estimand) -> tuple:
+        """All `matches_meta` reads of `est` under this target, quoted display strings included."""
+        return (est.summary_measure, est.endpoint.name, est.endpoint.units, est.endpoint.timepoint_weeks,
+                est.population, *est.events.items(), est.treatment_keys - self.treatment_keys)
 
 
 class Verdict(enum.Enum):
@@ -336,12 +358,6 @@ class MatchVerdict:
     blockers: tuple[str, ...]
     warnings: tuple[str, ...]
     attributes: Mapping[str, AttributeCheck]  # read-only: equal verdict keys share a verdict
-
-
-def _verdict_key(est: Estimand, meta: MetaEstimand) -> tuple:
-    """All `matches_meta` reads of `est` under `meta`, quoted display strings included."""
-    return (est.summary_measure, est.endpoint.name, est.endpoint.units, est.endpoint.timepoint_weeks,
-            est.population, *est.events.items(), est.treatment_keys - meta.treatment_keys)
 
 
 def matches_meta(trial_estimand: Estimand, meta: MetaEstimand) -> MatchVerdict:

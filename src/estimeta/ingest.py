@@ -3,7 +3,8 @@
 Accepts a section-tagged CSV or a nested JSON document describing trials,
 trial-level estimands, relative-effect contrasts, and per-arm summaries.
 Both formats are tokenized into the same records (one dict per CSV row or
-JSON array element), and one builder turns records into entities.
+JSON array element), read by the converters of `records`, and one builder
+turns records into entities; what CSV cannot write is refused in both.
 Uncertainty is completed at parse time: a contrast may carry a reported
 standard error, a confidence interval (SE back-calculated from its width),
 or nothing at all, in which case the SE is derived from the two arms'
@@ -18,31 +19,24 @@ import enum
 import io
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator, Mapping, Optional, Sequence, Union
 
-from .estimands import (
-    EndpointSpec,
-    Estimand,
-    IntercurrentEventHandling,
-    IntercurrentEventStrategy,
-    SummaryMeasure,
-    _PARSE_MEMO,
-    _interned,
-    canonical,
-    normalize_id,
-)
+from .estimands import Estimand, canonical, normalize_id
 from .normal import z_for_level
-
-
-class EvidenceFormatError(ValueError):
-    """Schema or invariant violation in an evidence file."""
-
-    def __init__(self, message: str, *, locator: str | None = None):
-        self.locator = locator
-        super().__init__(f"{locator}: {message}" if locator else message)
+from .records import (
+    EvidenceFormatError,
+    as_integer,
+    as_number,
+    json_object,
+    located,
+    names_of,
+    parse_memo,
+    records_of,
+    text_of,
+    value_of,
+)
 
 
 def se_from_ci(lower: float, upper: float, level: float = 0.95) -> float:
@@ -70,27 +64,6 @@ class UncertaintySource(enum.Enum):
     REPORTED_SE = "reported_se"
     FROM_CI = "from_ci"
     FROM_ARMS = "from_arms"
-
-
-def _number(value, name: str) -> float:
-    """A finite plain float from a number or a numeral."""
-    if isinstance(value, bool):  # JSON true/false is not a number
-        raise ValueError(f"field {name!r} is not a number: {value!r}")
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"field {name!r} is not a number: {value!r}") from None
-    if not math.isfinite(number):
-        raise ValueError(f"field {name!r} must be finite: {value!r}")
-    return number
-
-
-def _integer(value, name: str) -> int:
-    """A plain int from an integral number or numeral; a fraction is an error, not truncated."""
-    number = _number(value, name)
-    if not number.is_integer():
-        raise ValueError(f"field {name!r} is not an integer: {value!r}")
-    return int(number)
 
 
 def _coerce(entity, convert, *names: str) -> None:
@@ -125,8 +98,10 @@ class ArmSummary:
         object.__setattr__(self, "estimand_label", normalize_id(self.estimand_label))
         object.__setattr__(self, "label_key", canonical(self.estimand_label))
         object.__setattr__(self, "treatment_key", canonical(self.treatment))
-        _coerce(self, _integer, "n_randomized")
-        _coerce(self, _number, "mean_change", "ci_lower", "ci_upper", "ci_level")
+        if not (self.label_key and self.endpoint):
+            raise ValueError("arm summary needs a nonempty estimand label and endpoint")
+        _coerce(self, as_integer, "n_randomized")
+        _coerce(self, as_number, "mean_change", "ci_lower", "ci_upper", "ci_level")
         if self.n_randomized < 1:
             raise ValueError(f"n_randomized must be >= 1, got {self.n_randomized}")
         object.__setattr__(self, "se", se_from_ci(self.ci_lower, self.ci_upper, self.ci_level))
@@ -170,7 +145,7 @@ class ContrastEstimate:
         object.__setattr__(self, "label_key", canonical(self.estimand_label))
         object.__setattr__(self, "treatment_key", canonical(self.treatment))
         object.__setattr__(self, "comparator_key", canonical(self.comparator))
-        _coerce(self, _number, "md", "se", "ci_lower", "ci_upper", "ci_level")
+        _coerce(self, as_number, "md", "se", "ci_lower", "ci_upper", "ci_level")
         if self.treatment_key == self.comparator_key:
             raise ValueError(f"contrast compares {self.treatment!r} with itself")
         if not self.se > 0.0:
@@ -193,6 +168,10 @@ class TrialRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arm_keys", tuple(canonical(a) for a in self.arms))
+        if self.trial_id.startswith("#"):  # in CSV, a row whose first cell starts with '#' is a tag or comment
+            raise ValueError(f"trial id {self.trial_id!r} starts with '#'")
+        if bad := [a for a in self.arms if ";" in a]:  # a CSV cell joins a trial's arms with ';'
+            raise ValueError(f"arm name {bad[0]!r} of trial {self.trial_id!r} contains ';'")
 
     def estimand_for(self, label: str, endpoint_key: str) -> Optional[Estimand]:
         return self.estimands.get((canonical(label), canonical(endpoint_key)))
@@ -289,77 +268,9 @@ _SECTION_FIELDS = {
     ],
 }
 
-_REQUIRED = object()
-
-
-def _field(record: Mapping, name: str, default=_REQUIRED):
-    """A field of a record; JSON null and an empty CSV cell count as absent."""
-    value = record.get(name)
-    if value is None:
-        if default is _REQUIRED:
-            raise ValueError(f"missing field {name!r}")
-        return default
-    return value
-
-
-def _text(record: Mapping, name: str, default=_REQUIRED) -> str:
-    value = _field(record, name, default)
-    if not (isinstance(value, str) or value is default):
-        raise TypeError(f"field {name!r} must be text, got {value!r}")
-    return value
-
-
-def _names(record: Mapping, name: str, default=_REQUIRED) -> Sequence[str]:
-    value = _field(record, name, default)
-    if not ((isinstance(value, list) and all(isinstance(v, str) for v in value)) or value is default):
-        raise TypeError(f"field {name!r} must be a list of names")
-    return value
-
-
 def _optional_number(record: Mapping, name: str) -> Optional[float]:
     value = record.get(name)
-    return None if value is None else _number(value, name)
-
-
-def _handlings(record: Mapping) -> tuple[IntercurrentEventHandling, ...]:
-    items = _field(record, "ie_handlings", [])
-    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
-        raise TypeError("field 'ie_handlings' must be a list of {event_name, strategy} objects")
-    return tuple(
-        IntercurrentEventHandling(
-            _text(item, "event_name"), IntercurrentEventStrategy.parse(_text(item, "strategy"))
-        )
-        for item in items
-    )
-
-
-def _estimand(record: Mapping, treatments: Sequence[str], kind: type = Estimand, **policy) -> Estimand:
-    """An estimand from a record's label, population, endpoint (name, units, timepoint), summary
-    measure and intercurrent-event handlings: evidence estimand records and full plan definitions."""
-    return kind(
-        label=normalize_id(_text(record, "label")),
-        population=_interned(_text(record, "population").strip()),
-        treatments=frozenset(treatments),
-        endpoint=_interned(EndpointSpec(
-            name=normalize_id(_text(record, "endpoint_name")),
-            units=_interned(_text(record, "units").strip()),
-            timepoint_weeks=_integer(_field(record, "timepoint_weeks"), "timepoint_weeks"),
-        )),
-        summary_measure=SummaryMeasure.parse(_text(record, "summary_measure")),
-        ie_handlings=_interned(_handlings(record)),
-        **policy,
-    )
-
-
-@contextmanager
-def _located(locator: str) -> Iterator[None]:
-    """Report a ValueError or TypeError raised for one record as a format error at its locator."""
-    try:
-        yield
-    except EvidenceFormatError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise EvidenceFormatError(str(exc), locator=locator) from None
+    return None if value is None else as_number(value, name)
 
 
 class _Builder:
@@ -375,23 +286,23 @@ class _Builder:
             self.contrast_records.append((record, locator))
             return
         add = {"trials": self._add_trial, "estimands": self._add_estimand, "arms": self._add_arm}
-        with _located(locator):
+        with located(locator):
             add[section](record)
 
     def _trial_of(self, record: Mapping, what: str) -> TrialRecord:
-        trial_id = normalize_id(_text(record, "trial_id"))
+        trial_id = normalize_id(text_of(record, "trial_id"))
         trial = self.trials.get(trial_id)
         if trial is None:
             raise ValueError(f"{what} references unknown trial {trial_id!r}")
         return trial
 
     def _add_trial(self, record: Mapping) -> None:
-        trial_id = normalize_id(_text(record, "trial_id"))
+        trial_id = normalize_id(text_of(record, "trial_id"))
         if not trial_id:
             raise ValueError("trial_id is empty")
         if trial_id in self.trials:
             raise ValueError(f"duplicate trial {trial_id!r}")
-        arms = filter(None, map(normalize_id, _names(record, "arms")))
+        arms = filter(None, map(normalize_id, names_of(record, "arms")))
         trial = TrialRecord(trial_id=trial_id, arms=tuple(arms), estimands={})
         if len(trial.arms) < 2:
             raise ValueError(f"trial {trial_id!r} needs at least two arms")
@@ -400,9 +311,9 @@ class _Builder:
         self.trials[trial_id] = trial
 
     def _add_estimand(self, record: Mapping) -> None:
-        """Declare an estimand of a trial: its five attributes as `_estimand` reads them."""
+        """Declare an estimand of a trial: its five attributes as `Estimand.from_record` reads them."""
         trial = self._trial_of(record, "estimand")
-        estimand = _estimand(record, trial.arms)
+        estimand = Estimand.from_record(record, trial.arms)
         key = (estimand.label_key, estimand.endpoint.key)
         if key in trial.estimands:
             raise ValueError(
@@ -415,14 +326,14 @@ class _Builder:
         trial = self._trial_of(record, "arm")
         arm = ArmSummary(
             trial_id=trial.trial_id,
-            treatment=_text(record, "treatment"),
-            n_randomized=_integer(_field(record, "n"), "n"),
-            endpoint=_text(record, "endpoint_name"),
-            estimand_label=_text(record, "estimand_label"),
-            mean_change=_field(record, "mean_change"),
-            ci_lower=_field(record, "ci_lower"),
-            ci_upper=_field(record, "ci_upper"),
-            ci_level=_field(record, "ci_level", 0.95),
+            treatment=text_of(record, "treatment"),
+            n_randomized=as_integer(value_of(record, "n"), "n"),
+            endpoint=text_of(record, "endpoint_name"),
+            estimand_label=text_of(record, "estimand_label"),
+            mean_change=value_of(record, "mean_change"),
+            ci_lower=value_of(record, "ci_lower"),
+            ci_upper=value_of(record, "ci_upper"),
+            ci_level=value_of(record, "ci_level", 0.95),
         )
         if arm.treatment_key not in trial.arm_keys:
             raise ValueError(f"arm treatment {arm.treatment!r} is not in trial {trial.trial_id!r}")
@@ -432,15 +343,15 @@ class _Builder:
 
     def _contrast(self, record: Mapping) -> ContrastEstimate:
         trial = self._trial_of(record, "contrast")
-        label = normalize_id(_text(record, "estimand_label"))
-        endpoint_name = _text(record, "endpoint_name")
+        label = normalize_id(text_of(record, "estimand_label"))
+        endpoint_name = text_of(record, "endpoint_name")
         endpoint_key, label_key = canonical(endpoint_name), canonical(label)
         if (label_key, endpoint_key) not in trial.estimands:
             raise ValueError(
                 f"contrast references undeclared estimand {label!r} / {endpoint_name!r} "
                 f"in trial {trial.trial_id!r}"
             )
-        treatment, comparator = _text(record, "treatment"), _text(record, "comparator")
+        treatment, comparator = text_of(record, "treatment"), text_of(record, "comparator")
         arm_keys = canonical(treatment), canonical(comparator)
         for role, name, key in zip(("treatment", "comparator"), (treatment, comparator), arm_keys):
             if key not in trial.arm_keys:
@@ -467,7 +378,7 @@ class _Builder:
             comparator=comparator,
             endpoint=endpoint_key,
             estimand_label=label,
-            md=_field(record, "md"),
+            md=value_of(record, "md"),
             se=se,
             source=source,
             ci_lower=lo,
@@ -478,7 +389,7 @@ class _Builder:
     def build(self) -> EvidenceBase:
         contrasts: dict[tuple, ContrastEstimate] = {}
         for record, locator in self.contrast_records:
-            with _located(locator):
+            with located(locator):
                 contrast = self._contrast(record)
                 if contrast.key in contrasts:
                     raise ValueError(
@@ -550,44 +461,20 @@ def _csv_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
         yield section, record, locator
 
 
-def _json_object(stream: IO[str], locator: str | None = None) -> dict:
-    """A JSON document whose top level is an object."""
-    try:
-        doc = json.load(stream)
-    except json.JSONDecodeError as exc:
-        raise EvidenceFormatError(f"invalid JSON: {exc}", locator=locator) from None
-    if not isinstance(doc, dict):
-        raise EvidenceFormatError("top level must be an object", locator=locator)
-    return doc
-
-
-def _objects(doc: Mapping, section: str, locator: str | None = None) -> Iterator[tuple[dict, str]]:
-    """The records of a JSON array field (absent: none), each with its locator `section[i]`."""
-    records = doc.get(section, [])
-    if not isinstance(records, list):
-        raise EvidenceFormatError(f"section {section!r} must be an array", locator=locator)
-    for i, record in enumerate(records):
-        if not isinstance(record, dict):
-            raise EvidenceFormatError("record must be an object", locator=f"{section}[{i}]")
-        yield record, f"{section}[{i}]"
-
-
 def _json_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
     """Tokenize a JSON document into (section, record, locator) triples, one per array element."""
-    doc = _json_object(stream)
+    doc = json_object(stream)
     for section in _SECTION_FIELDS:
-        for record, locator in _objects(doc, section):
+        for record, locator in records_of(doc, section):
             yield section, record, locator
 
 
 def _parse(stream: IO[str], format: str) -> EvidenceBase:
-    builder, token = _Builder(), _PARSE_MEMO.set({})  # the parse's memo: gone when it returns or raises
-    try:
+    builder = _Builder()
+    with parse_memo():
         for section, record, locator in (_json_records if format == "json" else _csv_records)(stream):
             builder.add(section, record, locator)
         return builder.build()
-    finally:
-        _PARSE_MEMO.reset(token)
 
 
 Source = Union[str, Path, IO[str]]
@@ -598,7 +485,7 @@ def parse_evidence(source: Source, format: str | None = None) -> EvidenceBase:
     if isinstance(source, (str, Path)):
         path = Path(source)
         fmt = format or ("json" if path.suffix.lower() == ".json" else "csv")
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:  # a byte-order mark is skipped
             return _parse(handle, fmt)
     if format is None:
         raise ValueError("format must be given when parsing from a stream")

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -97,41 +96,22 @@ def laplacian_connected(net: EvidenceNetwork) -> bool:
     return int(np.linalg.matrix_rank(roots[:, None] * incidence(net))) == n - 1
 
 
-def _adjacency(net: EvidenceNetwork) -> list[list[tuple[int, int]]]:
-    """node index -> [(neighbour index, edge index)], in node order, parallel edges by index."""
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
-    for e_idx, (u, v) in enumerate(net.ends):
-        adjacency[u].append((v, e_idx))
-        adjacency[v].append((u, e_idx))
-    for entries in adjacency:
-        entries.sort()
-    return adjacency
-
-
-def _breadth_first(adjacency: list, start: int, goal: Optional[int] = None) -> dict:
-    """node -> (parent node, edge index) for every node reached from `start` (None there),
-    visiting neighbours in adjacency order; stops once it takes `goal` off the queue."""
-    previous: dict[int, Optional[tuple[int, int]]] = {start: None}
-    queue: deque[int] = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        for neighbour, e_idx in adjacency[node]:
-            if neighbour not in previous:
-                previous[neighbour] = (node, e_idx)
-                queue.append(neighbour)
-    return previous
-
-
 def connected_components(net: EvidenceNetwork) -> tuple[tuple[str, ...], ...]:
     """Partition of nodes into components, ordered by their first node, members in node order."""
-    adjacency, components, reached = _adjacency(net), [], set()
+    neighbours: list[list[int]] = [[] for _ in net.nodes]
+    for u, v in net.ends:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    components, reached = [], [False] * len(net.nodes)
     for start in range(len(net.nodes)):
-        if start not in reached:
-            members = sorted(_breadth_first(adjacency, start))
-            reached.update(members)
-            components.append(tuple(net.nodes[i] for i in members))
+        if not reached[start]:
+            reached[start], members = True, [start]
+            for node in members:  # the list grows while it is read: a breadth-first pass
+                for neighbour in neighbours[node]:
+                    if not reached[neighbour]:
+                        reached[neighbour] = True
+                        members.append(neighbour)
+            components.append(tuple(net.nodes[i] for i in sorted(members)))
     return tuple(components)
 
 
@@ -151,24 +131,6 @@ def is_connected(net: EvidenceNetwork) -> bool:
             "edge weights span too many orders of magnitude"
         )
     return by_traversal
-
-
-def anchoring_path(net: EvidenceNetwork, a: str, b: str) -> Optional[tuple[ContrastEstimate, ...]]:
-    """Shortest path (by edge count) between two treatments, as its contrasts, or None.
-
-    Ties are broken by deterministic node order; between parallel edges the
-    lowest-index edge is used.
-    """
-    start, goal = net.node_index(a), net.node_index(b)
-    previous = _breadth_first(_adjacency(net), start, goal)
-    if goal not in previous:
-        return None
-    path: list[ContrastEstimate] = []
-    node = goal
-    while node != start:
-        node, e_idx = previous[node]
-        path.append(net.edges[e_idx])
-    return tuple(reversed(path))
 
 
 def export_edge_list(net: EvidenceNetwork) -> str:

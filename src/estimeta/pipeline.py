@@ -8,7 +8,8 @@ exactly the contrasts whose estimand is admissible under the target; every
 input contrast lands in it exactly once, either used or excluded with
 reasons.  Feasibility reads the same verdicts and builds the slice's
 covariance blocks from the caller's evidence base; the analysis solves over
-those blocks and returns the same `Restriction` as its provenance.
+those blocks and returns the same `Restriction` as its provenance.  The plan
+that names the targets is read in `plan`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import enum
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -36,17 +36,13 @@ from .estimands import (
     Estimand,
     IntercurrentEventHandling,
     IntercurrentEventStrategy,
-    MatchingMode,
     MatchVerdict,
     MetaEstimand,
-    _verdict_key,
     canonical,
     matches_meta,
 )
 from .ingest import ContrastEstimate, EvidenceBase
-from .ingest import _estimand, _field, _integer, _json_object, _located, _names, _number, _objects, _text
 from .network import EvidenceNetwork, build_network, connected_components
-from .normal import z_for_level
 
 _WARNING_CODES = {
     "population": "population_differs",
@@ -116,14 +112,14 @@ def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> 
     """Keep the contrasts admissible under the meta-estimand for one endpoint.
 
     Each trial estimand of the endpoint gets a verdict (`Restriction.verdicts`), one
-    per distinct `_verdict_key`; contrasts, exclusion reasons and warnings read them.
+    per distinct `MetaEstimand.verdict_key`; contrasts, exclusion reasons and warnings read them.
     """
     key = canonical(endpoint)
     judged: dict[tuple, MatchVerdict] = {}
     verdicts = {}
     for trial_id, ests in base.estimands_by_trial(key).items():
         for est in ests:
-            if (signature := _verdict_key(est, meta)) not in judged:
+            if (signature := meta.verdict_key(est)) not in judged:
                 judged[signature] = matches_meta(est, meta)
             verdicts[trial_id, est.label_key] = (est, judged[signature])
     used: list[ContrastEstimate] = []
@@ -475,102 +471,3 @@ def _modal(values, key=None):
     counts = Counter(values)
     top = max(counts.values())
     return min((v for v, n in counts.items() if n == top), key=key)
-
-
-def resolve_meta(
-    base: EvidenceBase,
-    endpoint: str,
-    label: str,
-    *,
-    config: Optional["AnalysisConfig"] = None,
-    tolerance_weeks: Optional[int] = None,
-    mode: Optional[MatchingMode] = None,
-) -> MetaEstimand:
-    """Find a configured meta-estimand by label, or synthesize a pure-strategy one.
-
-    A tolerance or mode given overrides the configured record's; one left as
-    None keeps the record's, or `MetaEstimand`'s default when synthesizing.
-    """
-    policy = {"timepoint_tolerance_weeks": tolerance_weeks, "matching_mode": mode}
-    policy = {name: value for name, value in policy.items() if value is not None}
-    if config is not None and (meta := config.meta_for(label, endpoint)) is not None:
-        return replace(meta, **policy) if policy else meta
-    try:
-        strategy = IntercurrentEventStrategy.parse(label)
-    except ValueError:
-        known = sorted({m.label for m in config.meta_estimands}) if config else []
-        hint = f" (configured: {', '.join(known)})" if known else ""
-        raise ValueError(
-            f"unknown meta-estimand {label!r}: not configured and not a strategy token{hint}"
-        ) from None
-    return synthesize_meta(base, endpoint, strategy, label=label, **policy)
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Declarative plan: which meta-estimands over which endpoints."""
-
-    meta_estimands: tuple[MetaEstimand, ...]
-    endpoints: tuple[str, ...]
-    reference: Optional[str] = None
-    ci_level: float = 0.95
-
-    def __post_init__(self) -> None:
-        if not self.meta_estimands:
-            raise ValueError("config declares no meta-estimands")
-        if not self.endpoints:
-            raise ValueError("config declares no endpoints")
-        z_for_level(self.ci_level)  # refuses a level outside (0, 1), or one whose z is 0
-
-    def meta_for(self, label: str, endpoint: str) -> Optional[MetaEstimand]:
-        key, lab = canonical(endpoint), canonical(label)  # load_config admits one record per pair
-        return next((m for m in self.meta_estimands if m.label_key == lab and m.endpoint.key == key), None)
-
-
-def load_config(source: str | Path | dict, base: EvidenceBase) -> AnalysisConfig:
-    """Load an analysis plan from a JSON file or its parsed document.
-
-    A `meta_estimands` record that gives `strategy` is a shorthand, synthesized against
-    the evidence base for every configured endpoint; any other record is a full
-    definition, read as an evidence file's estimand record is, plus `treatments`.
-    Every fault in the plan is an EvidenceFormatError at `meta_estimands[i]` or `config`,
-    including a record whose label (canonically) an earlier record gave for the same endpoint.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            doc = _json_object(handle, "config")
-    else:
-        doc = source
-    with _located("config"):
-        endpoints = tuple(map(canonical, _names(doc, "endpoints", base.endpoint_keys())))
-    metas: dict[tuple[str, str], MetaEstimand] = {}  # (label key, endpoint key) -> its one record
-    for record, locator in _objects(doc, "meta_estimands", "config"):
-        with _located(locator):
-            policy = {}  # the fields given; MetaEstimand's defaults stand for the rest
-            if (tolerance := _field(record, "timepoint_tolerance_weeks", None)) is not None:
-                policy["timepoint_tolerance_weeks"] = _integer(tolerance, "timepoint_tolerance_weeks")
-            if _field(record, "matching_mode", None) is not None:
-                policy["matching_mode"] = MatchingMode.parse(_text(record, "matching_mode"))
-            if (shorthand := _field(record, "strategy", None)) is None:
-                made = [_estimand(record, _names(record, "treatments"), MetaEstimand, **policy)]
-            else:
-                if _field(record, "ie_handlings", None) is not None:
-                    raise ValueError("a record gives both 'strategy' (shorthand) and 'ie_handlings' (full definition)")
-                if policy.get("timepoint_tolerance_weeks", 0) < 0:
-                    raise ValueError("timepoint tolerance must be nonnegative")
-                strategy = IntercurrentEventStrategy.parse(_text(record, "strategy"))
-                label = _text(record, "label", None) or strategy.value
-        if shorthand is not None:  # outside _located: evidence that cannot satisfy a shorthand is no fault of the plan
-            made = [synthesize_meta(base, endpoint, strategy, label=label, **policy) for endpoint in endpoints]
-        with _located(locator):
-            for meta in made:
-                if (key := (meta.label_key, meta.endpoint.key)) in metas:
-                    raise ValueError(f"meta-estimand {meta.label!r} is declared twice for endpoint {key[1]!r}")
-                metas[key] = meta
-    with _located("config"):
-        return AnalysisConfig(
-            meta_estimands=tuple(metas.values()),
-            endpoints=endpoints,
-            reference=_text(doc, "reference", None),
-            ci_level=_number(_field(doc, "ci_level", 0.95), "ci_level"),
-        )

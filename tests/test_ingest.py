@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import CYCLIC_TRIAL_CSV, HBA1C, WEIGHT, quantile_bisect
 from estimeta import ingest
 from estimeta.estimands import (
-    _PARSE_MEMO,
     EndpointSpec,
     Estimand,
     IntercurrentEventHandling,
@@ -33,6 +32,7 @@ from estimeta.ingest import (
     TrialRecord,
     UncertaintySource,
     evidence_to_dict,
+    parse_evidence,
     parse_evidence_text,
     se_from_ci,
     serialize_evidence,
@@ -40,6 +40,7 @@ from estimeta.ingest import (
 )
 from estimeta.network import build_network, export_edge_list
 from estimeta.normal import normal_quantile
+from estimeta.records import _PARSE_MEMO
 
 MINIMAL = """\
 #trials
@@ -436,6 +437,40 @@ class TestFormatParity:
         assert parse_json_doc(doc) == parse_evidence_text(PARITY_CSV)
 
 
+class TestWritableInBothFormats:
+    """A value the CSV form cannot write is refused at its record, so a parsed base serializes to both."""
+
+    @pytest.mark.parametrize("section, good, bad, message", [
+        ("estimands", {"label": "secondary"}, {"label": "  "}, "estimand label must be nonempty"),
+        ("estimands", {"label": "secondary"}, {"label": "secondary", "population": ""},
+         "estimand population must be nonempty"),
+        ("trials", {"trial_id": "NEW", "arms": ["A", "B"]}, {"trial_id": "NEW", "arms": ["A;x", "B"]},
+         "arm name 'A;x' of trial 'NEW' contains ';'"),
+        ("trials", {"trial_id": "NEW", "arms": ["A", "B"]}, {"trial_id": " #NEW", "arms": ["A", "B"]},
+         "trial id '#NEW' starts with '#'"),
+        ("estimands", {"label": "secondary", "ie_handlings": [{"event_name": "rescue or death", "strategy": "composite"}]},
+         {"label": "secondary", "ie_handlings": [{"event_name": "rescue; or death", "strategy": "composite"}]},
+         "intercurrent event name 'rescue; or death' contains ';'"),
+        ("arms", {"estimand_label": "secondary"}, {"estimand_label": " "}, "arm summary needs a nonempty estimand label"),
+        ("arms", {"endpoint_name": "other"}, {"endpoint_name": ""}, "arm summary needs a nonempty estimand label"),
+    ])
+    def test_refused_at_its_record(self, case_base, section, good, bad, message):
+        doc = json.loads(serialize_evidence(case_base, "json"))
+        n = len(doc[section])
+        doc[section].append({**doc[section][0], **good})
+        base = parse_json_doc(doc)
+        assert parse_evidence_text(serialize_evidence(base, "csv")) == base
+        doc[section][n] = {**doc[section][0], **bad}
+        with pytest.raises(EvidenceFormatError, match=rf"^{section}\[{n}\]: {re.escape(message)}"):
+            parse_json_doc(doc)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_byte_order_mark_skipped(self, case_base, tmp_path, fmt):
+        path = tmp_path / f"evidence.{fmt}"
+        path.write_text("\ufeff" + serialize_evidence(case_base, fmt), encoding="utf-8")
+        assert parse_evidence(path) == case_base
+
+
 def strings(base: EvidenceBase):
     """Every name and key a base keeps."""
     for c in base.contrasts:
@@ -498,6 +533,12 @@ class TestParseMemo:
         for part in ("endpoint", "ie_handlings", "treatments", "treatment_keys"):
             values = [getattr(e, part) for e in estimands]
             assert len(set(values)) < len(values) and objects_per_value(values) == {1}
+
+    def test_one_read_only_events_mapping_per_distinct_handlings(self, case_base):
+        estimands = [e for trial in case_base.trials.values() for e in trial.estimands.values()]
+        assert len({id(e.events) for e in estimands}) == len({e.ie_handlings for e in estimands}) < len(estimands)
+        with pytest.raises(TypeError):
+            estimands[0].events["death"] = IntercurrentEventStrategy.COMPOSITE
 
     def test_a_direct_construction_shares_nothing(self):
         first, second = (EndpointSpec(name=" outcome  x ", units="u", timepoint_weeks=12) for _ in range(2))

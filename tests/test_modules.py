@@ -1,0 +1,47 @@
+"""The package's modules meet only at public names."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import estimeta
+from estimeta import records
+
+PACKAGE = Path(estimeta.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _imports(path: Path):
+    """(module, name) for each `from <module> import <name>` in a file, relative modules as `.x`."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            yield from (("." * node.level + (node.module or ""), alias.name) for alias in node.names)
+
+
+def test_no_module_imports_a_private_name():
+    private = [(path.name, module, name) for path in sorted(PACKAGE.glob("*.py"))
+               for module, name in _imports(path) if name.startswith("_")]
+    assert private == []
+
+
+def test_records_imports_nothing_from_the_package():
+    modules = {module for module, _ in _imports(PACKAGE / "records.py")}
+    assert not {m for m in modules if m.startswith(".") or m.split(".")[0] == "estimeta"}
+
+
+def test_record_readers_are_not_functions_of_the_traced_modules(monkeypatch):
+    """The benchmark's tracer keeps a span per call of each public function of its layers until
+    the run ends, so the per-field converters, the memo helpers and the verdict key live elsewhere."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import LAYERS
+
+    helpers = {name for name, obj in vars(records).items() if inspect.isfunction(obj)} | {"verdict_key"}
+    assert {"value_of", "text_of", "as_number", "forms", "interned", "located"} <= helpers
+    for layer in LAYERS:
+        module = importlib.import_module(f"estimeta.{layer}")
+        defined = {name for name, obj in vars(module).items()
+                   if inspect.isfunction(obj) and obj.__module__ == module.__name__}
+        assert defined & helpers == set(), layer

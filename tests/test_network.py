@@ -1,4 +1,4 @@
-"""Evidence-graph construction, connectivity, and anchoring paths."""
+"""Evidence-graph construction and connectivity."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from estimeta.ingest import ContrastEstimate, UncertaintySource, parse_evidence_
 from estimeta.network import (
     EvidenceNetwork,
     NetworkError,
-    anchoring_path,
     build_network,
     connected_components,
     export_edge_list,
@@ -157,46 +156,6 @@ class TestConnectivity:
                 for node in net.nodes:
                     partition.setdefault(uf.find(node), []).append(node)
                 assert connected_components(net) == tuple(map(tuple, partition.values()))
-
-
-class TestAnchoringPath:
-    def test_case_study_anchoring(self, case_network):
-        path = anchoring_path(case_network, SEMA_2, DULA_45)
-        assert path is not None
-        assert [e.trial_id for e in path] == ["SUSTAIN FORTE", "SUSTAIN 7", "AWARD-11"]
-        assert len(path) == 3
-
-    def test_self_path_empty(self, case_network):
-        assert anchoring_path(case_network, SEMA_1, SEMA_1) == ()
-
-    def test_across_components_absent(self):
-        net = build_network([contrast("T1", "A", "B"), contrast("T2", "C", "D")])
-        assert anchoring_path(net, "A", "C") is None
-
-    def test_unknown_treatment_rejected(self, case_network):
-        with pytest.raises(NetworkError, match="unknown treatment"):
-            anchoring_path(case_network, "placebo", SEMA_1)
-
-    def test_prefers_fewest_edges(self):
-        triangle = [
-            contrast("T1", "A", "B"),
-            contrast("T2", "B", "C"),
-            contrast("T3", "A", "C"),
-        ]
-        path = anchoring_path(build_network(triangle), "A", "C")
-        assert len(path) == 1
-
-    def test_ties_broken_by_node_order(self):
-        # A-B-C and A-D-C are both shortest; D precedes B in node order, though T2 precedes T3
-        net = build_network([
-            contrast("T1", "X", "D"),
-            contrast("T2", "A", "B"),
-            contrast("T3", "A", "D"),
-            contrast("T4", "B", "C"),
-            contrast("T5", "D", "C"),
-        ])
-        assert net.nodes == ("X", "D", "A", "B", "C")
-        assert [e.trial_id for e in anchoring_path(net, "A", "C")] == ["T3", "T5"]
 
 
 class TestExport:

@@ -44,17 +44,15 @@ from estimeta.ingest import (
     validate_evidence,
 )
 from estimeta.pipeline import (
-    AnalysisConfig,
     FeasibilityVerdict,
     InfeasibleAnalysisError,
     compare_strategies,
     feasibility_report,
-    load_config,
-    resolve_meta,
     restrict_evidence,
     run_analysis,
     synthesize_meta,
 )
+from estimeta.plan import AnalysisConfig, load_config, resolve_meta
 
 HYP = IntercurrentEventStrategy.HYPOTHETICAL
 TP = IntercurrentEventStrategy.TREATMENT_POLICY
@@ -242,7 +240,7 @@ def plan_meta(base, template: MetaEstimand, mode: str, tolerance: int, treatment
 def unshare(monkeypatch) -> None:
     """Give every trial estimand a verdict key of its own (undone at teardown), so
     that restriction judges each one with a fresh verdict."""
-    monkeypatch.setattr(pipeline, "_verdict_key", lambda est, meta: id(est))
+    monkeypatch.setattr(MetaEstimand, "verdict_key", lambda meta, est: id(est))
 
 
 class TestSharedVerdicts:
@@ -823,6 +821,20 @@ class TestConfig:
         known = r"\(known: strict, lenient\)"
         with pytest.raises(EvidenceFormatError, match=rf"^meta_estimands\[0\]: unknown matching mode 'loose' {known}"):
             load_config(doc, case_base)
+
+    @pytest.mark.parametrize("kind", ["shorthand", "full"])
+    @pytest.mark.parametrize("label", ["", "  "])
+    def test_blank_label_rejected(self, case_base, kind, label):
+        record = {"label": label, "strategy": "hypothetical"} if kind == "shorthand" else {
+            **evidence_to_dict(case_base)["estimands"][0], "label": label, "treatments": [SEMA_2, DULA_30]}
+        with pytest.raises(EvidenceFormatError, match=r"^meta_estimands\[0\]: estimand label must be nonempty$"):
+            load_config({"meta_estimands": [record]}, case_base)
+
+    def test_byte_order_mark_skipped(self, case_base, tmp_path):
+        doc = {"meta_estimands": [{"label": "target", "strategy": "hypothetical"}], "reference": SEMA_2}
+        path = tmp_path / "plan.json"
+        path.write_text("\ufeff" + json.dumps(doc), encoding="utf-8")
+        assert load_config(path, case_base) == load_config(doc, case_base)
 
     def test_resolve_meta_prefers_config(self, case_base):
         config = load_config(

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 from conftest import HBA1C
@@ -79,3 +81,36 @@ def test_every_traced_name_is_wrapped(monkeypatch):
     names = _layer_metric_names() | set(tracer.COUNT_ONLY) | methods
     assert {"engine.assemble_gls", "ingest.EvidenceBase.arm_summary", "estimands.canonical"} <= names
     assert [name for name in sorted(names) if not _wrapped(name, tracer.LAYERS)] == []
+
+
+def _package_reads(source: str):
+    """(module, name) for each name the code imports from estimeta, or reads off the package
+    (`estimeta.x`, `em.x`, `self.em.x`), including code held in string literals."""
+    tree, aliases = ast.parse(source), {"estimeta"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "estimeta")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "estimeta":
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and (
+            isinstance(node.value, ast.Name) and node.value.id in aliases
+            or isinstance(node.value, ast.Attribute) and node.value.attr in aliases
+        ):
+            yield "estimeta", node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "estimeta" in node.value:
+            try:  # set-up code for child interpreters, its format fields filled with a number
+                yield from _package_reads(re.sub(r"\{\w*(![rs])?\}", "0", node.value))
+            except SyntaxError:
+                pass
+
+
+def test_benchmark_imports_resolve():
+    """Every name the benchmark and the case-study script take from estimeta still exists there."""
+    files = [*sorted(BENCH.glob("*.py")), BENCH.parent / "scripts" / "run_case_study.py"]
+    reads = {read for path in files for read in _package_reads(path.read_text(encoding="utf-8"))}
+    assert {("estimeta.pipeline", "synthesize_meta"), ("estimeta", "parse_evidence")} <= reads
+    missing = sorted((module, name) for module, name in reads  # a name, or a submodule not yet imported
+                     if not hasattr(importlib.import_module(module), name)
+                     and importlib.util.find_spec(f"{module}.{name}") is None)
+    assert missing == []
