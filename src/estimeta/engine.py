@@ -73,6 +73,12 @@ def trial_covariance(
         raise CovarianceError("trial has no contrasts")
     if len(contrasts) == 1:
         return np.array([[contrasts[0].se ** 2]])
+    _require_factors([(contrasts[0].trial_id, block := _arm_block(contrasts, arm_variances))])
+    return block
+
+
+def _arm_block(contrasts: Sequence[ContrastEstimate], arm_variances: Mapping[str, float] | None) -> np.ndarray:
+    """S diag(v) S' over the arms of a multi-arm trial, refused unless its contrasts form a forest."""
     if arm_variances is None:
         raise CovarianceError(
             "shared-arm variance unidentifiable: multi-arm trial needs arm-level variances"
@@ -95,15 +101,30 @@ def trial_covariance(
                 "are linearly dependent (they close a cycle over its arms)"
             )
         component = [a if k == b else k for k in component]
-    # S diag(v) S': each entry sums at most two nonzero, exactly signed variances (an overflow is refused below)
+    # S diag(v) S': each entry sums at most two nonzero, exactly signed variances (an overflow is refused later)
     with np.errstate(over="ignore"):
-        block = (signs * np.array(list(arm_variances.values()), dtype=float)) @ signs.T
-    with suppress(np.linalg.LinAlgError):  # the solve's stacked call factors each block exactly alike
-        if np.isfinite(np.linalg.cholesky(block)).all():
-            return block
-    raise CovarianceError(
-        f"covariance of trial {contrasts[0].trial_id!r} is not positive definite (its Cholesky factorization fails)"
-    )
+        return (signs * np.array(list(arm_variances.values()), dtype=float)) @ signs.T
+
+
+def _require_factors(blocks: Sequence[tuple[str, np.ndarray]]) -> None:
+    """Refuse the first (trial id, block), in row order, without a finite Cholesky factor: blocks of
+    one size are factored in one stacked call, as the solve's, and one by one only to name a trial."""
+    by_size: dict[int, list[np.ndarray]] = {}
+    for _, block in blocks:
+        by_size.setdefault(len(block), []).append(block)
+    if all(map(_factors, map(np.array, by_size.values()))):
+        return
+    for trial_id, block in blocks:
+        if not _factors(block):
+            raise CovarianceError(
+                f"covariance of trial {trial_id!r} is not positive definite (its Cholesky factorization fails)"
+            )
+
+
+def _factors(blocks: np.ndarray) -> bool:
+    with suppress(np.linalg.LinAlgError):
+        return bool(np.isfinite(np.linalg.cholesky(blocks)).all())
+    return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,28 +175,35 @@ def trial_blocks(
 ) -> list[np.ndarray]:
     """Covariance blocks of the contrasts, grouped by trial in their order.
 
-    With `independence_fallback`, a multi-arm trial without arm-level data
+    A single contrast's block is a (1, 1) view of one vector of se^2; the
+    multi-arm blocks are factored as the solve factors them, one stacked call per
+    block size.  With `independence_fallback`, a multi-arm trial without arm-level data
     degrades to a diagonal block instead of failing; the shared-arm
     correlation is then ignored.
     """
-    blocks = []
-    for trial_id, grouped in groupby(contrasts, key=lambda c: c.trial_id):
-        group = list(grouped)
-        labels = {c.label_key for c in group}
-        if len(labels) > 1:
-            raise CovarianceError(
-                f"trial {trial_id!r} contributes contrasts under several estimands: {sorted(labels)}"
-            )
-        blocks.append(_block_for_trial(group, base, independence_fallback))
+    groups = [list(group) for _, group in groupby(contrasts, key=lambda c: c.trial_id)]
+    singles = iter(np.array([g[0].se ** 2 for g in groups if len(g) == 1]).reshape(-1, 1, 1))
+    blocks, multi = [], []
+    try:
+        for group in groups:
+            if len(group) > 1:
+                multi.append((group[0].trial_id, _block_for_trial(group, base, independence_fallback)))
+            blocks.append(multi[-1][1] if len(group) > 1 else next(singles))
+    except CovarianceError:
+        _require_factors(multi)  # a block before the refused trial that fails to factor is named first
+        raise
+    _require_factors(multi)
     return blocks
 
 
 def _block_for_trial(
     group: Sequence[ContrastEstimate], base: EvidenceBase, independence_fallback: bool
 ) -> np.ndarray:
-    if len(group) == 1:
-        return trial_covariance(group)
     sample = group[0]
+    if len(labels := {c.label_key for c in group}) > 1:
+        raise CovarianceError(
+            f"trial {sample.trial_id!r} contributes contrasts under several estimands: {sorted(labels)}"
+        )
     # arms in order of first appearance, so that a message names them alike on every run
     summaries = {
         arm: base.arm_summary(sample.trial_id, sample.estimand_label, sample.endpoint, arm)
@@ -183,13 +211,13 @@ def _block_for_trial(
     }
     if missing := [repr(arm) for arm, summary in summaries.items() if summary is None]:
         if independence_fallback:  # unit arm variances: a cycle over the arms is refused first
-            trial_covariance(group, arm_variances=dict.fromkeys(summaries, 1.0))
+            _arm_block(group, dict.fromkeys(summaries, 1.0))
             return np.diag([c.se**2 for c in group])
         raise CovarianceError(
             f"shared-arm variance unidentifiable: trial {sample.trial_id!r} lacks an arm "
             f"summary for {', '.join(missing)} ({sample.estimand_label} / {sample.endpoint})"
         )
-    return trial_covariance(group, arm_variances={arm: s.variance for arm, s in summaries.items()})
+    return _arm_block(group, {arm: s.variance for arm, s in summaries.items()})
 
 
 @dataclass(frozen=True)
@@ -269,13 +297,22 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
     recorded, above 1e12 the solve is refused.  The league table's md and se are
     computed here, once, as arrays; building its view refuses an invalid `ci_level`.
     """
-    sizes = np.array([len(block) for block in system.blocks])
-    starts = np.cumsum(sizes) - sizes
+    by_size: dict[int, list[tuple[int, np.ndarray]]] = {}  # block size -> its (first row, block) pairs
+    for row, block in zip(np.cumsum([0, *map(len, system.blocks)]).tolist(), system.blocks):
+        by_size.setdefault(len(block), []).append((row, block))
     design_w, y_w = np.empty_like(system.design), np.empty_like(system.y)
-    for k in {len(block) for block in system.blocks}:
-        rows = starts[sizes == k, None] + np.arange(k)  # trials x k row indices
+    for k, pairs in by_size.items():
+        starts, stack = zip(*pairs)
+        rows = np.array(starts)[:, None] + np.arange(k)  # trials x k row indices
+        if k == 1:  # the Cholesky factor of [v] is sqrt(v), and solving by it a division
+            variances = np.array(stack)[..., 0]
+            if not (np.isfinite(variances) & (variances > 0.0)).all():  # refused before the root is taken
+                raise CovarianceError("covariance matrix is not positive definite")
+            roots = np.sqrt(variances)
+            design_w[rows], y_w[rows] = system.design[rows] / roots[..., None], system.y[rows] / roots
+            continue
         try:
-            chol = np.linalg.cholesky(np.stack([b for b in system.blocks if len(b) == k]))
+            chol = np.linalg.cholesky(np.array(stack))
         except np.linalg.LinAlgError:
             raise CovarianceError("covariance matrix is not positive definite") from None
         design_w[rows] = np.linalg.solve(chol, system.design[rows])

@@ -47,6 +47,8 @@ class IntercurrentEventStrategy(enum.Enum):
     WHILE_ON_TREATMENT = "while_on_treatment"
     PRINCIPAL_STRATUM = "principal_stratum"
 
+    __hash__ = object.__hash__  # members are singletons, compared by identity
+
     @classmethod
     def parse(cls, token: str) -> "IntercurrentEventStrategy":
         return _parse_token(cls, token, "intercurrent-event strategy")
@@ -56,6 +58,8 @@ class SummaryMeasure(enum.Enum):
     """Population-level summary measures; only mean difference is supported."""
 
     MEAN_DIFFERENCE = "mean_difference"
+
+    __hash__ = object.__hash__  # members are singletons, compared by identity
 
     @classmethod
     def parse(cls, token: str) -> "SummaryMeasure":

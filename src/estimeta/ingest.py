@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .estimands import Estimand, canonical, normalize_id
 from .normal import z_for_level
@@ -279,6 +279,7 @@ class _Builder:
     def __init__(self) -> None:
         self.trials: dict[str, TrialRecord] = {}
         self.arms: dict[tuple[str, str, str, str], ArmSummary] = {}
+        self.arm_locators: list[str] = []  # of `arms`' rows, in order
         self.contrast_records: list[tuple[Mapping, str]] = []
 
     def add(self, section: str, record: Mapping, locator: str) -> None:
@@ -288,6 +289,8 @@ class _Builder:
         add = {"trials": self._add_trial, "estimands": self._add_estimand, "arms": self._add_arm}
         with located(locator):
             add[section](record)
+        if section == "arms":  # its estimand is checked in build(), once every section is read
+            self.arm_locators.append(locator)
 
     def _trial_of(self, record: Mapping, what: str) -> TrialRecord:
         trial_id = normalize_id(text_of(record, "trial_id"))
@@ -387,6 +390,10 @@ class _Builder:
         )
 
     def build(self) -> EvidenceBase:
+        for arm, locator in zip(self.arms.values(), self.arm_locators):
+            if (arm.label_key, arm.endpoint) not in self.trials[arm.trial_id].estimands:
+                raise EvidenceFormatError(f"arm summary references undeclared estimand {arm.estimand_label!r} / "
+                                          f"{arm.endpoint!r} in trial {arm.trial_id!r}", locator=locator)
         contrasts: dict[tuple, ContrastEstimate] = {}
         for record, locator in self.contrast_records:
             with located(locator):
@@ -417,14 +424,14 @@ def _handling_items(cell: str, locator: str) -> list[dict]:
     return items
 
 
-def _csv_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
+def _csv_records(lines: Iterable[str]) -> Iterator[tuple[str, dict, str]]:
     """Tokenize a section-tagged CSV into (section, record, locator) triples.
 
     Each data row becomes the record a JSON array element supplies: empty
     cells are absent fields, `arms` is split on ';', and `ie_handlings`
     (`event:strategy;...`) becomes a list of {event_name, strategy} items.
     """
-    reader = csv.reader(stream)
+    reader = csv.reader(lines)
     section: str | None = None
     header_seen = False
     for row in reader:
@@ -461,9 +468,9 @@ def _csv_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
         yield section, record, locator
 
 
-def _json_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
+def _json_records(text: str) -> Iterator[tuple[str, dict, str]]:
     """Tokenize a JSON document into (section, record, locator) triples, one per array element."""
-    doc = json_object(stream)
+    doc = json_object(text)
     for section in _SECTION_FIELDS:
         for record, locator in records_of(doc, section):
             yield section, record, locator
@@ -471,8 +478,12 @@ def _json_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
 
 def _parse(stream: IO[str], format: str) -> EvidenceBase:
     builder = _Builder()
+    head = stream.read() if format == "json" else stream.readline()  # a JSON document, or a CSV's first line
+    head = head[head.startswith("\ufeff"):]  # one leading byte-order mark is skipped
     with parse_memo():
-        for section, record, locator in (_json_records if format == "json" else _csv_records)(stream):
+        records = _json_records(head) if format == "json" else _csv_records(
+            line for lines in ([head], stream) for line in lines)
+        for section, record, locator in records:
             builder.add(section, record, locator)
         return builder.build()
 
@@ -485,7 +496,7 @@ def parse_evidence(source: Source, format: str | None = None) -> EvidenceBase:
     if isinstance(source, (str, Path)):
         path = Path(source)
         fmt = format or ("json" if path.suffix.lower() == ".json" else "csv")
-        with open(path, "r", encoding="utf-8-sig", newline="") as handle:  # a byte-order mark is skipped
+        with open(path, "r", encoding="utf-8", newline="") as handle:
             return _parse(handle, fmt)
     if format is None:
         raise ValueError("format must be given when parsing from a stream")
@@ -602,6 +613,9 @@ def validate_evidence(base: EvidenceBase) -> list[Issue]:
             issues.append(
                 Issue("error", f"arm treatment {arm.treatment!r} is not an arm of {arm.trial_id!r}")
             )
+        if trial is not None and (arm.label_key, arm.endpoint) not in trial.estimands:
+            issues.append(Issue("error", f"arm summary references undeclared estimand {arm.estimand_label!r} "
+                                         f"({arm.endpoint}) in trial {arm.trial_id!r}"))
         if arm.key in seen:  # the base keeps the first; a serialized copy would not parse
             issues.append(Issue("error", f"duplicate arm summary for {arm.treatment!r} in {arm.trial_id!r}"))
         seen.add(arm.key)

@@ -40,9 +40,12 @@ class EvidenceNetwork:
     ends: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "index", {canonical(node): i for i, node in enumerate(self.nodes)})
-        ends = tuple((self._lookup(e.treatment_key, e.treatment), self._lookup(e.comparator_key, e.comparator))
-                     for e in self.edges)
+        object.__setattr__(self, "index", index := {canonical(node): i for i, node in enumerate(self.nodes)})
+        try:
+            ends = tuple((index[e.treatment_key], index[e.comparator_key]) for e in self.edges)
+        except KeyError:  # the first unknown end, in edge order, named as the edge spells it
+            for e in self.edges:
+                self._lookup(e.treatment_key, e.treatment), self._lookup(e.comparator_key, e.comparator)
         object.__setattr__(self, "ends", ends)
 
     def node_index(self, treatment: str) -> int:
@@ -76,9 +79,9 @@ def _weight(edge: ContrastEstimate) -> float:
 
 def incidence(net: EvidenceNetwork) -> np.ndarray:
     """Signed edges x nodes incidence matrix: +1 at the treatment, -1 at the comparator."""
-    matrix = np.zeros((len(net.edges), len(net.nodes)))
-    for row, (u, v) in enumerate(net.ends):
-        matrix[row, u], matrix[row, v] = 1.0, -1.0
+    matrix, rows = np.zeros((len(net.edges), len(net.nodes))), np.arange(len(net.edges))
+    ends = np.array(net.ends, dtype=np.intp).reshape(-1, 2)
+    matrix[rows, ends[:, 0]], matrix[rows, ends[:, 1]] = 1.0, -1.0
     return matrix
 
 

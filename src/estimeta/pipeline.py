@@ -119,20 +119,22 @@ def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> 
     verdicts = {}
     for trial_id, ests in base.estimands_by_trial(key).items():
         for est in ests:
-            if (signature := meta.verdict_key(est)) not in judged:
-                judged[signature] = matches_meta(est, meta)
-            verdicts[trial_id, est.label_key] = (est, judged[signature])
+            signature = meta.verdict_key(est)
+            if (verdict := judged.get(signature)) is None:
+                verdict = judged[signature] = matches_meta(est, meta)
+            verdicts[trial_id, est.label_key] = (est, verdict)
     used: list[ContrastEstimate] = []
     excluded: list[ExcludedContrast] = []
+    mismatch: dict[str, tuple[str]] = {}  # another endpoint -> the one reason its contrasts share
     warnings: dict[tuple[str, str], None] = {}
+    warned: set[tuple[str, str]] = set()  # a contrast's warnings are its trial estimand's verdict's
     for contrast in base.contrasts:
         if contrast.endpoint != key:
-            excluded.append(
-                ExcludedContrast(contrast, (f"endpoint mismatch: {contrast.endpoint} vs {key}",))
-            )
+            if (reasons := mismatch.get(contrast.endpoint)) is None:
+                reasons = mismatch[contrast.endpoint] = (f"endpoint mismatch: {contrast.endpoint} vs {key}",)
+            excluded.append(ExcludedContrast(contrast, reasons))
             continue
-        _, verdict = verdicts.get((contrast.trial_id, contrast.label_key), (None, None))
-        if verdict is None:
+        if (entry := verdicts.get(slot := (contrast.trial_id, contrast.label_key))) is None:
             excluded.append(
                 ExcludedContrast(
                     contrast,
@@ -140,14 +142,16 @@ def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> 
                 )
             )
             continue
-        if not verdict.compatible:
+        if not (verdict := entry[1]).compatible:
             excluded.append(ExcludedContrast(contrast, verdict.blockers))
             continue
         used.append(contrast)
-        for attr, check in verdict.attributes.items():
-            if check.status == "warn":
-                code = _WARNING_CODES.get(attr, "estimand_warning")
-                warnings.setdefault((code, f"{contrast.trial_id}: {check.detail}"))
+        if slot not in warned:
+            warned.add(slot)
+            for attr, check in verdict.attributes.items():
+                if check.status == "warn":
+                    code = _WARNING_CODES.get(attr, "estimand_warning")
+                    warnings.setdefault((code, f"{contrast.trial_id}: {check.detail}"))
 
     return Restriction(
         meta=meta,

@@ -48,7 +48,7 @@ def load_config(source: str | Path | dict, base: EvidenceBase) -> AnalysisConfig
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig") as handle:  # a byte-order mark is skipped
-            doc = json_object(handle, "config")
+            doc = json_object(handle.read(), "config")
     else:
         doc = source
     with located("config"):

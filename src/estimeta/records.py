@@ -12,7 +12,7 @@ import json
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import IO, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 
 class EvidenceFormatError(ValueError):
@@ -123,10 +123,10 @@ def located(locator: str) -> Iterator[None]:
         raise EvidenceFormatError(str(exc), locator=locator) from None
 
 
-def json_object(stream: IO[str], locator: str | None = None) -> dict:
+def json_object(text: str, locator: str | None = None) -> dict:
     """A JSON document whose top level is an object."""
     try:
-        doc = json.load(stream)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise EvidenceFormatError(f"invalid JSON: {exc}", locator=locator) from None
     if not isinstance(doc, dict):

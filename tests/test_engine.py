@@ -502,6 +502,43 @@ class TestBlockWhitening:
         with pytest.raises(CovarianceError, match="not positive definite"):
             solve_fixed_effects(system)
 
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_one_by_one_block_refused_without_a_warning(self, variance):
+        # a 1x1 block is whitened by division by its root: it is refused before the root is taken
+        system = GlsSystem(
+            y=np.array([1.0, 0.5]),
+            design=np.array([[1.0, 0.0], [0.0, 1.0]]),
+            blocks=(np.array([[0.04]]), np.array([[variance]])),
+            reference="A",
+            treatments=("A", "B", "C"),
+            parameters=("B", "C"),
+            contrasts=(contrast("T1", "B", "A", 1.0, 0.2), contrast("T2", "C", "A", 0.5, 0.2)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CovarianceError, match="not positive definite"):
+                solve_fixed_effects(system)
+
+    def test_mixed_block_sizes_match_the_dense_oracle(self):
+        rng = np.random.default_rng(19)
+        sizes = set()
+        for _ in range(60):
+            nodes = [f"T{i}" for i in range(int(rng.integers(4, 9)))]
+            trials = [(f"chain-{j}", nodes[j : j + 2], [0.5, 0.5], [0.1]) for j in range(len(nodes) - 1)]
+            for j in range(int(rng.integers(1, 8))):
+                arms = list(rng.choice(nodes, size=int(rng.integers(2, 5)), replace=False))
+                trials.append((f"trial-{j}", arms, list(rng.uniform(0.05, 1.0, len(arms))),
+                               list(rng.normal(0.0, 2.0, len(arms) - 1))))
+            base = synthetic_base(trials)
+            net = build_network(base.contrasts)
+            system = assemble_gls(net, net.nodes[0], trial_blocks(net.edges, base))
+            result = solve_fixed_effects(system)
+            theta, cov = gls_brute(system.y, system.design, system.sigma)
+            assert np.linalg.norm(result.estimates - theta) <= 1e-12 * np.linalg.norm(theta)
+            assert np.linalg.norm(result.covariance - cov) <= 1e-12 * np.linalg.norm(cov)
+            sizes |= {len(block) for block in system.blocks}
+        assert sizes == {1, 2, 3}
+
     def test_no_dense_covariance_is_built(self):
         # 3,000 contrasts: a dense 3,000 x 3,000 covariance alone takes 72 MB.
         rng = np.random.default_rng(5)

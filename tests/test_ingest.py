@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import re
@@ -451,8 +452,10 @@ class TestWritableInBothFormats:
         ("estimands", {"label": "secondary", "ie_handlings": [{"event_name": "rescue or death", "strategy": "composite"}]},
          {"label": "secondary", "ie_handlings": [{"event_name": "rescue; or death", "strategy": "composite"}]},
          "intercurrent event name 'rescue; or death' contains ';'"),
-        ("arms", {"estimand_label": "secondary"}, {"estimand_label": " "}, "arm summary needs a nonempty estimand label"),
-        ("arms", {"endpoint_name": "other"}, {"endpoint_name": ""}, "arm summary needs a nonempty estimand label"),
+        ("arms", {"trial_id": "SUSTAIN 7", "estimand_label": "de-jure"}, {"estimand_label": " "},
+         "arm summary needs a nonempty estimand label"),
+        ("arms", {"trial_id": "SUSTAIN 7", "estimand_label": "de-jure", "endpoint_name": "change from baseline in body weight"},
+         {"endpoint_name": ""}, "arm summary needs a nonempty estimand label"),
     ])
     def test_refused_at_its_record(self, case_base, section, good, bad, message):
         doc = json.loads(serialize_evidence(case_base, "json"))
@@ -469,6 +472,39 @@ class TestWritableInBothFormats:
         path = tmp_path / f"evidence.{fmt}"
         path.write_text("\ufeff" + serialize_evidence(case_base, fmt), encoding="utf-8")
         assert parse_evidence(path) == case_base
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_byte_order_mark_skipped_in_text_and_stream(self, case_base, tmp_path, fmt):
+        text = "\ufeff" + serialize_evidence(case_base, fmt)
+        path = tmp_path / f"evidence.{fmt}"
+        path.write_text(text, encoding="utf-8")
+        assert parse_evidence_text(text, fmt) == parse_evidence(io.StringIO(text), fmt) == parse_evidence(path)
+        assert parse_evidence(path) == case_base
+
+
+class TestUndeclaredArmEstimand:
+    """An arm row must lie under an estimand its trial declares, as a contrast must."""
+
+    @pytest.mark.parametrize("form", ["csv", "json", "code"])
+    def test_arm_row_under_an_undeclared_estimand_refused(self, case_base, form):
+        stray = dataclasses.replace(case_base.arm_summaries[0], estimand_label="secondary")
+        base = dataclasses.replace(case_base, arm_summaries=case_base.arm_summaries + (stray,))
+        if form == "code":
+            assert [i for i in validate_evidence(base) if i.severity == "error"] == [Issue(
+                "error", f"arm summary references undeclared estimand 'secondary' ({HBA1C}) in trial 'AWARD-11'")]
+            return
+        text = serialize_evidence(base, form)  # the arm rows come last: the stray is the last line or record
+        locator = f"line {len(text.splitlines())}" if form == "csv" else f"arms[{len(base.arm_summaries) - 1}]"
+        message = f"arm summary references undeclared estimand 'secondary' / '{HBA1C}' in trial 'AWARD-11'"
+        with pytest.raises(EvidenceFormatError, match=f"^{re.escape(f'{locator}: {message}')}$"):
+            parse_evidence_text(text, form)
+
+    def test_arm_rows_before_the_estimands_they_lie_under(self, case_base):
+        sections = re.split(r"(?m)^(?=#)", serialize_evidence(case_base, "csv"))[1:]
+        order = ["#trials", "#arms", "#contrasts", "#estimands"]
+        text = "".join(sorted(sections, key=lambda chunk: order.index(chunk.split("\n", 1)[0])))
+        assert text.index("#arms") < text.index("#estimands")
+        assert parse_evidence_text(text) == case_base
 
 
 def strings(base: EvidenceBase):

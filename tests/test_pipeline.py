@@ -407,16 +407,16 @@ class TestRunAnalysis:
 
     def test_covariance_blocks_built_once_per_slice(self, case_base, hyp_meta, monkeypatch):
         calls = []
-        original = engine.trial_covariance
+        original = engine.trial_blocks
 
-        def counted(contrasts, arm_variances=None):
-            calls.append(contrasts[0].trial_id)
-            return original(contrasts, arm_variances)
+        def counted(contrasts, base, **kwargs):
+            calls.append(original(contrasts, base, **kwargs))
+            return calls[-1]
 
-        monkeypatch.setattr(engine, "trial_covariance", counted)
+        monkeypatch.setattr(pipeline, "trial_blocks", counted)
         result = run_analysis(case_base, hyp_meta, HBA1C)
-        assert sorted(calls) == sorted({c.trial_id for c in result.provenance.used})
-        assert len(calls) == 3
+        assert len(calls) == 1
+        assert len(calls[0]) == len({c.trial_id for c in result.provenance.used}) == 3
 
     def test_force_still_refuses_a_built_singular_block(self):
         base = triangle_base([0.25, 0.5, 1.0])
@@ -546,6 +546,80 @@ class TestOneCovarianceVerdict:
             except engine.NumericalError:
                 outcomes["ill-conditioned"] += 1
         assert min(outcomes["refused"], outcomes["solved"], outcomes["ill-conditioned"]) > 0, outcomes
+
+
+def failing_trial(kind: str, trial_id: str) -> EvidenceBase:
+    """One three-arm trial over A, B and C whose block is refused: it fails its Cholesky
+    factorization (the REFUSED_FACTOR_CSV block), closes a cycle, or lacks its arm rows."""
+    if kind == "factor":
+        csv = REFUSED_FACTOR_CSV.replace("T1,", f"{trial_id},").replace("dropout", "premature treatment discontinuation")
+        return parse_evidence_text(csv)
+    base = synthetic_base([(trial_id, ["A", "B", "C"], [0.25, 0.5, 1.0], [1.0, 0.5])])
+    if kind == "missing":
+        return dataclasses.replace(base, arm_summaries=())
+    third = ContrastEstimate(trial_id=trial_id, treatment="C", comparator="B", endpoint="outcome",
+                             estimand_label="primary", md=-0.5, se=0.9, source=UncertaintySource.REPORTED_SE)
+    return dataclasses.replace(base, contrasts=base.contrasts + (third,))
+
+
+def merged(*bases: EvidenceBase) -> EvidenceBase:
+    return EvidenceBase(
+        trials={tid: trial for b in bases for tid, trial in b.trials.items()},
+        contrasts=tuple(c for b in bases for c in b.contrasts),
+        arm_summaries=tuple(a for b in bases for a in b.arm_summaries),
+    )
+
+
+# factorizable multi-arm trials with 2x2 and 3x3 blocks, and a two-arm trial, over A..E
+GOOD_TRIALS = [
+    ("T1", ["A", "B", "C"], [0.3, 0.4, 0.5], [0.2, 0.1]),
+    ("T2", ["B", "C", "D", "E"], [0.2, 0.6, 0.3, 0.4], [0.3, -0.2, 0.5]),
+    ("T3", ["D", "A"], [0.5, 0.5], [0.4]),
+    ("T4", ["E", "A", "D"], [0.35, 0.45, 0.55], [-0.1, 0.3]),
+]
+REFUSALS = {
+    "factor": "covariance of trial {} is not positive definite (its Cholesky factorization fails)",
+    "cycle": "covariance of trial {} is not positive definite: its contrasts are linearly dependent "
+             "(they close a cycle over its arms)",
+    "missing": "shared-arm variance unidentifiable: trial {} lacks an arm summary for 'b', 'a', 'c' "
+               "(primary / outcome)",
+}
+
+
+class TestBatchedCovarianceVerdict:
+    """Blocks are factored in one stacked call per size; a refusal still names the trial
+    the block-by-block check names, wherever it sits in row order."""
+
+    @pytest.mark.parametrize("kind", sorted(REFUSALS))
+    @pytest.mark.parametrize("trial_id", ["T0", "T25", "T9"])  # first, in the middle and last by trial id
+    def test_refusal_names_its_trial(self, kind, trial_id):
+        base = merged(synthetic_base(GOOD_TRIALS), failing_trial(kind, trial_id))
+        message = REFUSALS[kind].format(repr(trial_id))
+        meta = synthesize_meta(base, "outcome", HYP)
+        report = feasibility_report(base, meta, "outcome")
+        assert [(r.code, r.message) for r in report.reasons] == [("covariance_unidentifiable", message)]
+        with pytest.raises(InfeasibleAnalysisError) as raised:
+            run_analysis(base, meta, "outcome")
+        assert str(raised.value) == f"analysis infeasible: {message}"
+        assert [(i.severity, i.message) for i in validate_evidence(base)] == [("warning", message)]
+
+    @pytest.mark.parametrize("later", ["cycle", "missing"])
+    def test_an_earlier_unfactorable_block_is_named_before_a_later_refusal(self, later):
+        base = merged(synthetic_base(GOOD_TRIALS), failing_trial("factor", "T0"), failing_trial(later, "T9"))
+        (reason,) = feasibility_report(base, synthesize_meta(base, "outcome", HYP), "outcome").reasons
+        assert reason.message == REFUSALS["factor"].format("'T0'")
+        assert [i.message for i in validate_evidence(base)] == [REFUSALS["factor"].format("'T0'"),
+                                                                REFUSALS[later].format("'T9'")]
+
+    def test_good_blocks_equal_the_per_trial_blocks(self):
+        base = synthetic_base(GOOD_TRIALS)
+        net = network.build_network(base.contrasts)
+        blocks = engine.trial_blocks(net.edges, base)
+        assert [b.shape for b in blocks] == [(2, 2), (3, 3), (1, 1), (2, 2)]
+        for block, trial in zip(blocks, GOOD_TRIALS):
+            group = [c for c in net.edges if c.trial_id == trial[0]]
+            variances = {a.treatment_key: a.variance for a in base.arm_summaries if a.trial_id == trial[0]}
+            assert np.array_equal(block, engine.trial_covariance(group, variances if len(group) > 1 else None))
 
 
 class TestOneNumericVerdict:
