@@ -317,7 +317,9 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
             raise CovarianceError("covariance matrix is not positive definite") from None
         design_w[rows] = np.linalg.solve(chol, system.design[rows])
         y_w[rows] = np.linalg.solve(chol, system.y[rows, None])[..., 0]
-    q, r = np.linalg.qr(design_w)
+    n = system.design.shape[1]
+    factor = np.linalg.qr(np.column_stack([design_w, y_w]), mode="r")  # [R, Q'y], and Q is never formed
+    r, qty = factor[:n, :n], factor[:n, n]
     singular_values = np.linalg.svd(r, compute_uv=False)
     if singular_values[-1] == 0.0:
         raise NumericalError("design matrix is rank deficient (disconnected network?)")
@@ -331,7 +333,7 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
     if condition > CONDITION_WARNING:
         notes = (f"ill-conditioned normal equations (condition number {condition:.3e})",)
 
-    estimates = np.linalg.solve(r, q.T @ y_w)
+    estimates = np.linalg.solve(r, qty)
     r_inv = np.linalg.inv(r)
     covariance = r_inv @ r_inv.T
     covariance = (covariance + covariance.T) / 2.0

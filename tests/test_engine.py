@@ -309,6 +309,15 @@ class TestRandomizedProperties:
             np.testing.assert_allclose(result.estimates, theta, rtol=1e-8, atol=1e-11)
             np.testing.assert_allclose(result.covariance, cov, rtol=1e-8, atol=1e-11)
 
+    def test_q_free_estimates_match_the_q_formed_formula(self, corpus):
+        for base in corpus:
+            net = build_network(base.contrasts)
+            system = assemble_gls(net, net.nodes[0], trial_blocks(net.edges, base))
+            chol = np.linalg.cholesky(system.sigma)
+            q, r = np.linalg.qr(np.linalg.solve(chol, system.design))  # Q formed, then Q'y
+            expected = np.linalg.solve(r, q.T @ np.linalg.solve(chol, system.y))
+            np.testing.assert_allclose(solve_fixed_effects(system).estimates, expected, rtol=0, atol=1e-13)
+
     def test_reference_invariance_at_bench_scale(self):
         base = large_connected_base(np.random.default_rng(2024))
         assert len(base.trials) == 1000 and any(len(t.arms) == 3 for t in base.trials.values())
