@@ -297,22 +297,19 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
     recorded, above 1e12 the solve is refused.  The league table's md and se are
     computed here, once, as arrays; building its view refuses an invalid `ci_level`.
     """
-    by_size: dict[int, list[tuple[int, np.ndarray]]] = {}  # block size -> its (first row, block) pairs
-    for row, block in zip(np.cumsum([0, *map(len, system.blocks)]).tolist(), system.blocks):
-        by_size.setdefault(len(block), []).append((row, block))
-    design_w, y_w = np.empty_like(system.design), np.empty_like(system.y)
-    for k, pairs in by_size.items():
-        starts, stack = zip(*pairs)
-        rows = np.array(starts)[:, None] + np.arange(k)  # trials x k row indices
-        if k == 1:  # the Cholesky factor of [v] is sqrt(v), and solving by it a division
-            variances = np.array(stack)[..., 0]
-            if not (np.isfinite(variances) & (variances > 0.0)).all():  # refused before the root is taken
-                raise CovarianceError("covariance matrix is not positive definite")
-            roots = np.sqrt(variances)
-            design_w[rows], y_w[rows] = system.design[rows] / roots[..., None], system.y[rows] / roots
-            continue
+    sizes = np.fromiter(map(len, system.blocks), np.intp, len(system.blocks))
+    starts, corners = np.cumsum(sizes) - sizes, np.cumsum(sizes * sizes) - sizes * sizes
+    entries = np.concatenate(system.blocks, axis=None)  # block after block; one begins at each corner
+    variances = entries[corners[sizes == 1]]  # of the 1x1 blocks, whose Cholesky factor is sqrt(v)
+    if not (np.isfinite(variances) & (variances > 0.0)).all():  # refused before the root is taken
+        raise CovarianceError("covariance matrix is not positive definite")
+    roots = np.ones_like(system.y)  # the rows of larger blocks are whitened below
+    roots[starts[sizes == 1]] = np.sqrt(variances)
+    design_w, y_w = system.design / roots[:, None], system.y / roots
+    for k in set(sizes.tolist()) - {1}:
+        rows = starts[sizes == k, None] + np.arange(k)  # trials x k row indices
         try:
-            chol = np.linalg.cholesky(np.array(stack))
+            chol = np.linalg.cholesky(entries[corners[sizes == k, None] + np.arange(k * k)].reshape(-1, k, k))
         except np.linalg.LinAlgError:
             raise CovarianceError("covariance matrix is not positive definite") from None
         design_w[rows] = np.linalg.solve(chol, system.design[rows])

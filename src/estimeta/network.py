@@ -80,8 +80,8 @@ def _weight(edge: ContrastEstimate) -> float:
 def incidence(net: EvidenceNetwork) -> np.ndarray:
     """Signed edges x nodes incidence matrix: +1 at the treatment, -1 at the comparator."""
     matrix, rows = np.zeros((len(net.edges), len(net.nodes))), np.arange(len(net.edges))
-    ends = np.array(net.ends, dtype=np.intp).reshape(-1, 2)
-    matrix[rows, ends[:, 0]], matrix[rows, ends[:, 1]] = 1.0, -1.0
+    for columns, sign in zip(zip(*net.ends), (1.0, -1.0)):  # the treatments' columns, then the comparators'
+        matrix[rows, np.fromiter(columns, np.intp, len(rows))] = sign
     return matrix
 
 
