@@ -7,18 +7,21 @@ variances (diagonal v_t + v_c, off-diagonal the shared arms' variance), so
 that correlated treatment effects within multi-arm trials are accounted for.
 The design X is the network's signed incidence matrix without the
 reference's column.  The solve whitens each trial's rows by the Cholesky
-factor of its block and uses QR on the whitened design; neither the dense
-covariance (built only on demand, as `GlsSystem.sigma`) nor its inverse is
-formed.  The singular values of the whitened design's R are a slice's one
-numeric verdict (assembly checks connectivity by traversal alone).  Each
-solve computes its league table once, as node-by-node arrays of md and se;
-`NmaResult.comparisons` and `comparison()` form each interval by one formula.
+factor of its block: a 1x1 block's rows are divided by its se, and the
+larger blocks are factored in one batched Cholesky call per block size.
+QR of the whitened [X, y] gives R and Q'y; neither Q, the dense covariance
+(built only on demand, as `GlsSystem.sigma`) nor its inverse is formed.
+The singular values of R are a slice's one numeric verdict (assembly
+checks connectivity by traversal alone).  Each solve computes its league
+table once, as node-by-node arrays of md and se; `NmaResult.comparisons`
+and `comparison()` form each interval by one formula.
 
 A slice's blocks are built once, by `trial_blocks`, from the caller's
 evidence base: the feasibility report keeps them, and `assemble_gls`, the
 one way to build a `GlsSystem`, assembles the analysis's system over them.
-A block passes only the Cholesky factorization the solve whitens by, so
-feasibility, `validate_evidence` and the solve give one verdict per trial.
+A block passes only the Cholesky factorization the solve whitens by, one
+batched call per block size, so feasibility, `validate_evidence` and the
+solve give one verdict per trial.
 """
 
 from __future__ import annotations
@@ -292,8 +295,8 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
     """Solve theta = (X' Sigma^-1 X)^-1 X' Sigma^-1 y with its covariance.
 
     Whitens each trial's rows of X and y by the Cholesky factor of its block
-    (blocks of one size in one batched call) and QR-factorizes the whitened
-    design.  Conditioning of X' Sigma^-1 X is checked: above 1e8 a note is
+    (a 1x1 block's rows divided by its se, larger blocks of one size factored in
+    one batched call) and QR-factorizes the whitened [X, y] without forming Q.  Conditioning of X' Sigma^-1 X is checked: above 1e8 a note is
     recorded, above 1e12 the solve is refused.  The league table's md and se are
     computed here, once, as arrays; building its view refuses an invalid `ci_level`.
     """

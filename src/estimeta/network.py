@@ -43,9 +43,10 @@ class EvidenceNetwork:
         object.__setattr__(self, "index", index := {canonical(node): i for i, node in enumerate(self.nodes)})
         try:
             ends = tuple((index[e.treatment_key], index[e.comparator_key]) for e in self.edges)
-        except KeyError:  # the first unknown end, in edge order, named as the edge spells it
+        except KeyError:  # name the first unknown end, in edge order, as its edge spells it
             for e in self.edges:
-                self._lookup(e.treatment_key, e.treatment), self._lookup(e.comparator_key, e.comparator)
+                self._lookup(e.treatment_key, e.treatment)
+                self._lookup(e.comparator_key, e.comparator)
         object.__setattr__(self, "ends", ends)
 
     def node_index(self, treatment: str) -> int:
