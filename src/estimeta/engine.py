@@ -189,9 +189,11 @@ def trial_blocks(
     blocks, multi = [], []
     try:
         for group in groups:
-            if len(group) > 1:
-                multi.append((group[0].trial_id, _block_for_trial(group, base, independence_fallback)))
-            blocks.append(multi[-1][1] if len(group) > 1 else next(singles))
+            if len(group) == 1:
+                blocks.append(next(singles))
+            else:
+                blocks.append(_block_for_trial(group, base, independence_fallback))
+                multi.append((group[0].trial_id, blocks[-1]))
     except CovarianceError:
         _require_factors(multi)  # a block before the refused trial that fails to factor is named first
         raise

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import IO, Iterator, Mapping, Optional, Sequence, Union
 
 from .estimands import Estimand, canonical, normalize_id
 from .normal import z_for_level
@@ -279,7 +279,7 @@ class _Builder:
     def __init__(self) -> None:
         self.trials: dict[str, TrialRecord] = {}
         self.arms: dict[tuple[str, str, str, str], ArmSummary] = {}
-        self.arm_locators: list[str] = []  # of `arms`' rows, in order
+        self.undeclared: list[tuple[ArmSummary, str]] = []  # arm rows read before their estimand; see build()
         self.contrast_records: list[tuple[Mapping, str]] = []
 
     def add(self, section: str, record: Mapping, locator: str) -> None:
@@ -288,9 +288,9 @@ class _Builder:
             return
         add = {"trials": self._add_trial, "estimands": self._add_estimand, "arms": self._add_arm}
         with located(locator):
-            add[section](record)
-        if section == "arms":  # its estimand is checked in build(), once every section is read
-            self.arm_locators.append(locator)
+            added = add[section](record)
+        if section == "arms" and (added.label_key, added.endpoint) not in self.trials[added.trial_id].estimands:
+            self.undeclared.append((added, locator))
 
     def _trial_of(self, record: Mapping, what: str) -> TrialRecord:
         trial_id = normalize_id(text_of(record, "trial_id"))
@@ -325,7 +325,7 @@ class _Builder:
             )
         trial.estimands[key] = estimand
 
-    def _add_arm(self, record: Mapping) -> None:
+    def _add_arm(self, record: Mapping) -> ArmSummary:
         trial = self._trial_of(record, "arm")
         arm = ArmSummary(
             trial_id=trial.trial_id,
@@ -343,6 +343,7 @@ class _Builder:
         if arm.key in self.arms:
             raise ValueError(f"duplicate arm summary for {arm.treatment!r} in trial {trial.trial_id!r}")
         self.arms[arm.key] = arm
+        return arm
 
     def _contrast(self, record: Mapping) -> ContrastEstimate:
         trial = self._trial_of(record, "contrast")
@@ -390,7 +391,7 @@ class _Builder:
         )
 
     def build(self) -> EvidenceBase:
-        for arm, locator in zip(self.arms.values(), self.arm_locators):
+        for arm, locator in self.undeclared:  # sections may come in any order: every estimand is read now
             if (arm.label_key, arm.endpoint) not in self.trials[arm.trial_id].estimands:
                 raise EvidenceFormatError(f"arm summary references undeclared estimand {arm.estimand_label!r} / "
                                           f"{arm.endpoint!r} in trial {arm.trial_id!r}", locator=locator)
@@ -424,14 +425,15 @@ def _handling_items(cell: str, locator: str) -> list[dict]:
     return items
 
 
-def _csv_records(lines: Iterable[str]) -> Iterator[tuple[str, dict, str]]:
+def _csv_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
     """Tokenize a section-tagged CSV into (section, record, locator) triples.
 
+    One leading byte-order mark is skipped, here and in `_json_records`.
     Each data row becomes the record a JSON array element supplies: empty
     cells are absent fields, `arms` is split on ';', and `ie_handlings`
     (`event:strategy;...`) becomes a list of {event_name, strategy} items.
     """
-    reader = csv.reader(lines)
+    reader = csv.reader(line for lines in ([stream.readline().removeprefix("\ufeff")], stream) for line in lines)
     section: str | None = None
     header_seen = False
     for row in reader:
@@ -468,9 +470,9 @@ def _csv_records(lines: Iterable[str]) -> Iterator[tuple[str, dict, str]]:
         yield section, record, locator
 
 
-def _json_records(text: str) -> Iterator[tuple[str, dict, str]]:
+def _json_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
     """Tokenize a JSON document into (section, record, locator) triples, one per array element."""
-    doc = json_object(text)
+    doc = json_object(stream.read().removeprefix("\ufeff"))  # the text is not kept while records are read
     for section in _SECTION_FIELDS:
         for record, locator in records_of(doc, section):
             yield section, record, locator
@@ -478,12 +480,8 @@ def _json_records(text: str) -> Iterator[tuple[str, dict, str]]:
 
 def _parse(stream: IO[str], format: str) -> EvidenceBase:
     builder = _Builder()
-    head = stream.read() if format == "json" else stream.readline()  # a JSON document, or a CSV's first line
-    head = head[head.startswith("\ufeff"):]  # one leading byte-order mark is skipped
     with parse_memo():
-        records = _json_records(head) if format == "json" else _csv_records(
-            line for lines in ([head], stream) for line in lines)
-        for section, record, locator in records:
+        for section, record, locator in (_json_records if format == "json" else _csv_records)(stream):
             builder.add(section, record, locator)
         return builder.build()
 
