@@ -179,10 +179,10 @@ def trial_blocks(
     """Covariance blocks of the contrasts, grouped by trial in their order.
 
     A single contrast's block is a (1, 1) view of one vector of se^2; the
-    multi-arm blocks are factored as the solve factors them, one stacked call per
-    block size.  With `independence_fallback`, a multi-arm trial without arm-level data
-    degrades to a diagonal block instead of failing; the shared-arm
-    correlation is then ignored.
+    multi-arm blocks are factored as the solve factors them, one stacked call
+    per block size.  With `independence_fallback`, a multi-arm trial without
+    arm-level data degrades to a diagonal block instead of failing; the
+    shared-arm correlation is then ignored.
     """
     groups = [list(group) for _, group in groupby(contrasts, key=lambda c: c.trial_id)]
     singles = iter(np.array([g[0].se ** 2 for g in groups if len(g) == 1]).reshape(-1, 1, 1))
@@ -298,9 +298,10 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
 
     Whitens each trial's rows of X and y by the Cholesky factor of its block
     (a 1x1 block's rows divided by its se, larger blocks of one size factored in
-    one batched call) and QR-factorizes the whitened [X, y] without forming Q.  Conditioning of X' Sigma^-1 X is checked: above 1e8 a note is
-    recorded, above 1e12 the solve is refused.  The league table's md and se are
-    computed here, once, as arrays; building its view refuses an invalid `ci_level`.
+    one batched call) and QR-factorizes the whitened [X, y] without forming Q.
+    Conditioning of X' Sigma^-1 X is checked: above 1e8 a note is recorded,
+    above 1e12 the solve is refused.  The league table's md and se are computed
+    here, once, as arrays; building its view refuses an invalid `ci_level`.
     """
     sizes = np.fromiter(map(len, system.blocks), np.intp, len(system.blocks))
     starts, corners = np.cumsum(sizes) - sizes, np.cumsum(sizes * sizes) - sizes * sizes
