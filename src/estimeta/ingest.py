@@ -4,7 +4,9 @@ Accepts a section-tagged CSV or a nested JSON document describing trials,
 trial-level estimands, relative-effect contrasts, and per-arm summaries.
 Both formats are tokenized into the same records (one dict per CSV row or
 JSON array element), read by the converters of `records`, and one builder
-turns records into entities; what CSV cannot write is refused in both.
+turns records into entities; what CSV cannot write is refused in both.  The rules
+tying a contrast or an arm row to its trial run once, on the built base: a parse
+refuses exactly the errors `validate_evidence` reports, wherever those rows stand.
 Uncertainty is completed at parse time: a contrast may carry a reported
 standard error, a confidence interval (SE back-calculated from its width),
 or nothing at all, in which case the SE is derived from the two arms'
@@ -274,30 +276,27 @@ def _optional_number(record: Mapping, name: str) -> Optional[float]:
 
 
 class _Builder:
-    """Turns section records, whichever format they came from, into an EvidenceBase."""
+    """Turns section records, whichever format they came from, into an EvidenceBase.
+
+    It checks each record's fields, and the trial and estimand rules its trials dict
+    keeps; contrasts and arm rows meet `_rule_errors` on the built base."""
 
     def __init__(self) -> None:
         self.trials: dict[str, TrialRecord] = {}
-        self.arms: dict[tuple[str, str, str, str], ArmSummary] = {}
-        self.undeclared: list[tuple[ArmSummary, str]] = []  # arm rows read before their estimand; see build()
-        self.contrast_records: list[tuple[Mapping, str]] = []
+        self.arms: list[ArmSummary] = []
+        self.arm_index: dict[tuple[str, str, str, str], ArmSummary] = {}  # first wins, as in the base
+        self.contrast_records: list[Mapping] = []
+        self.locators: dict[str, list[str]] = {"contrasts": [], "arms": []}  # beside each section's records
 
     def add(self, section: str, record: Mapping, locator: str) -> None:
+        if section in self.locators:
+            self.locators[section].append(locator)
         if section == "contrasts":  # resolved in build(): the SE may need arm rows read later
-            self.contrast_records.append((record, locator))
+            self.contrast_records.append(record)
             return
         add = {"trials": self._add_trial, "estimands": self._add_estimand, "arms": self._add_arm}
         with located(locator):
-            added = add[section](record)
-        if section == "arms" and (added.label_key, added.endpoint) not in self.trials[added.trial_id].estimands:
-            self.undeclared.append((added, locator))
-
-    def _trial_of(self, record: Mapping, what: str) -> TrialRecord:
-        trial_id = normalize_id(text_of(record, "trial_id"))
-        trial = self.trials.get(trial_id)
-        if trial is None:
-            raise ValueError(f"{what} references unknown trial {trial_id!r}")
-        return trial
+            add[section](record)
 
     def _add_trial(self, record: Mapping) -> None:
         trial_id = normalize_id(text_of(record, "trial_id"))
@@ -315,20 +314,22 @@ class _Builder:
 
     def _add_estimand(self, record: Mapping) -> None:
         """Declare an estimand of a trial: its five attributes as `Estimand.from_record` reads them."""
-        trial = self._trial_of(record, "estimand")
+        trial_id = normalize_id(text_of(record, "trial_id"))
+        trial = self.trials.get(trial_id)
+        if trial is None:
+            raise ValueError(f"estimand references unknown trial {trial_id!r}")
         estimand = Estimand.from_record(record, trial.arms)
         key = (estimand.label_key, estimand.endpoint.key)
         if key in trial.estimands:
             raise ValueError(
                 f"duplicate estimand {estimand.label!r} for endpoint {estimand.endpoint.name!r} "
-                f"in trial {trial.trial_id!r}"
+                f"in trial {trial_id!r}"
             )
         trial.estimands[key] = estimand
 
-    def _add_arm(self, record: Mapping) -> ArmSummary:
-        trial = self._trial_of(record, "arm")
+    def _add_arm(self, record: Mapping) -> None:
         arm = ArmSummary(
-            trial_id=trial.trial_id,
+            trial_id=text_of(record, "trial_id"),
             treatment=text_of(record, "treatment"),
             n_randomized=as_integer(value_of(record, "n"), "n"),
             endpoint=text_of(record, "endpoint_name"),
@@ -338,28 +339,14 @@ class _Builder:
             ci_upper=value_of(record, "ci_upper"),
             ci_level=value_of(record, "ci_level", 0.95),
         )
-        if arm.treatment_key not in trial.arm_keys:
-            raise ValueError(f"arm treatment {arm.treatment!r} is not in trial {trial.trial_id!r}")
-        if arm.key in self.arms:
-            raise ValueError(f"duplicate arm summary for {arm.treatment!r} in trial {trial.trial_id!r}")
-        self.arms[arm.key] = arm
-        return arm
+        self.arms.append(arm)
+        self.arm_index.setdefault(arm.key, arm)
 
     def _contrast(self, record: Mapping) -> ContrastEstimate:
-        trial = self._trial_of(record, "contrast")
+        trial_id = normalize_id(text_of(record, "trial_id"))
         label = normalize_id(text_of(record, "estimand_label"))
-        endpoint_name = text_of(record, "endpoint_name")
-        endpoint_key, label_key = canonical(endpoint_name), canonical(label)
-        if (label_key, endpoint_key) not in trial.estimands:
-            raise ValueError(
-                f"contrast references undeclared estimand {label!r} / {endpoint_name!r} "
-                f"in trial {trial.trial_id!r}"
-            )
+        endpoint_key = canonical(text_of(record, "endpoint_name"))
         treatment, comparator = text_of(record, "treatment"), text_of(record, "comparator")
-        arm_keys = canonical(treatment), canonical(comparator)
-        for role, name, key in zip(("treatment", "comparator"), (treatment, comparator), arm_keys):
-            if key not in trial.arm_keys:
-                raise ValueError(f"{role} {name!r} is not an arm of trial {trial.trial_id!r}")
 
         se, lo, hi, level = (_optional_number(record, f) for f in ("se", "ci_lower", "ci_upper", "ci_level"))
         has_ci = lo is not None and hi is not None
@@ -369,7 +356,8 @@ class _Builder:
             level = 0.95 if level is None else level
             source, se = UncertaintySource.FROM_CI, se_from_ci(lo, hi, level)
         else:
-            arm_t, arm_c = (self.arms.get((trial.trial_id, label_key, endpoint_key, key)) for key in arm_keys)
+            estimand = (trial_id, canonical(label), endpoint_key)
+            arm_t, arm_c = (self.arm_index.get((*estimand, canonical(name))) for name in (treatment, comparator))
             if arm_t is None or arm_c is None:
                 raise ValueError(
                     "contrast carries no se and no confidence interval, and arm summaries "
@@ -377,7 +365,7 @@ class _Builder:
                 )
             source, se = UncertaintySource.FROM_ARMS, math.hypot(arm_t.se, arm_c.se)
         return ContrastEstimate(
-            trial_id=trial.trial_id,
+            trial_id=trial_id,
             treatment=treatment,
             comparator=comparator,
             endpoint=endpoint_key,
@@ -391,25 +379,14 @@ class _Builder:
         )
 
     def build(self) -> EvidenceBase:
-        for arm, locator in self.undeclared:  # sections may come in any order: every estimand is read now
-            if (arm.label_key, arm.endpoint) not in self.trials[arm.trial_id].estimands:
-                raise EvidenceFormatError(f"arm summary references undeclared estimand {arm.estimand_label!r} / "
-                                          f"{arm.endpoint!r} in trial {arm.trial_id!r}", locator=locator)
-        contrasts: dict[tuple, ContrastEstimate] = {}
-        for record, locator in self.contrast_records:
+        contrasts = []
+        for record, locator in zip(self.contrast_records, self.locators["contrasts"]):
             with located(locator):
-                contrast = self._contrast(record)
-                if contrast.key in contrasts:
-                    raise ValueError(
-                        f"duplicate contrast {contrast.treatment!r} vs {contrast.comparator!r} "
-                        f"in trial {contrast.trial_id!r}"
-                    )
-                contrasts[contrast.key] = contrast
-        return EvidenceBase(
-            trials=self.trials,
-            contrasts=tuple(contrasts.values()),
-            arm_summaries=tuple(self.arms.values()),
-        )
+                contrasts.append(self._contrast(record))
+        base = EvidenceBase(trials=self.trials, contrasts=tuple(contrasts), arm_summaries=tuple(self.arms))
+        for section, index, message in _rule_errors(base):  # the first, at its record
+            raise EvidenceFormatError(message, locator=self.locators[section][index])
+        return base
 
 
 def _handling_items(cell: str, locator: str) -> list[dict]:
@@ -428,17 +405,19 @@ def _handling_items(cell: str, locator: str) -> list[dict]:
 def _csv_records(stream: IO[str]) -> Iterator[tuple[str, dict, str]]:
     """Tokenize a section-tagged CSV into (section, record, locator) triples.
 
-    One leading byte-order mark is skipped, here and in `_json_records`.
-    Each data row becomes the record a JSON array element supplies: empty
-    cells are absent fields, `arms` is split on ';', and `ie_handlings`
-    (`event:strategy;...`) becomes a list of {event_name, strategy} items.
+    One leading byte-order mark is skipped, here and in `_json_records`, and so are
+    the blank cells that end a row.  Each data row becomes the record a JSON array
+    element supplies: empty cells are absent fields, `arms` is split on ';', and
+    `ie_handlings` (`event:strategy;...`) becomes a list of {event_name, strategy} items.
     """
     reader = csv.reader(line for lines in ([stream.readline().removeprefix("\ufeff")], stream) for line in lines)
     section: str | None = None
     header_seen = False
     for row in reader:
         locator = f"line {reader.line_num}"
-        if not any(cell.strip() for cell in row):
+        while row and not row[-1].strip():  # a spreadsheet pads each row to the widest one
+            row.pop()
+        if not row:
             continue
         first = row[0].strip()
         if first.startswith("#"):
@@ -565,6 +544,43 @@ def _records(base: EvidenceBase) -> dict[str, Iterator[tuple]]:
 # --- validation -------------------------------------------------------------
 
 
+def _rule_errors(base: EvidenceBase) -> Iterator[tuple[str, int, str]]:
+    """(section, index, message) for each contrast or arm row that its trial does not
+    bear out: an unknown trial, a treatment that is not an arm, an undeclared estimand,
+    or a duplicate.  A parse refuses the first; `validate_evidence` reports them all.
+    """
+    seen: set[tuple] = set()
+    for i, c in enumerate(base.contrasts):
+        trial = base.trials.get(c.trial_id)
+        if trial is None:
+            yield "contrasts", i, f"contrast references unknown trial {c.trial_id!r}"
+            continue
+        for role, name, key in zip(("treatment", "comparator"), (c.treatment, c.comparator),
+                                   (c.treatment_key, c.comparator_key)):
+            if key not in trial.arm_keys:
+                yield "contrasts", i, f"contrast {role} {name!r} is not an arm of {c.trial_id!r}"
+        if (c.label_key, c.endpoint) not in trial.estimands:
+            yield "contrasts", i, (f"contrast references undeclared estimand {c.estimand_label!r} "
+                                   f"({c.endpoint}) in trial {c.trial_id!r}")
+        if c.key in seen:
+            yield "contrasts", i, f"duplicate contrast {c.treatment!r} vs {c.comparator!r} in {c.trial_id!r}"
+        seen.add(c.key)
+
+    seen.clear()
+    for i, arm in enumerate(base.arm_summaries):
+        trial = base.trials.get(arm.trial_id)
+        if trial is None:
+            yield "arms", i, f"arm summary references unknown trial {arm.trial_id!r}"
+        elif arm.treatment_key not in trial.arm_keys:
+            yield "arms", i, f"arm treatment {arm.treatment!r} is not an arm of {arm.trial_id!r}"
+        if trial is not None and (arm.label_key, arm.endpoint) not in trial.estimands:
+            yield "arms", i, (f"arm summary references undeclared estimand {arm.estimand_label!r} "
+                              f"({arm.endpoint}) in trial {arm.trial_id!r}")
+        if arm.key in seen:  # the base keeps the first; a serialized copy would not parse
+            yield "arms", i, f"duplicate arm summary for {arm.treatment!r} in {arm.trial_id!r}"
+        seen.add(arm.key)
+
+
 def validate_evidence(base: EvidenceBase) -> list[Issue]:
     """Re-check invariants and flag analysis hazards; issues are data, not errors.
 
@@ -572,51 +588,7 @@ def validate_evidence(base: EvidenceBase) -> list[Issue]:
     `trial_blocks`, so a block warned of here is the one an analysis refuses.
     """
     from .engine import CovarianceError, trial_blocks  # here, as engine imports this module
-    issues: list[Issue] = []
-
-    seen: set[tuple] = set()
-    for c in base.contrasts:
-        trial = base.trials.get(c.trial_id)
-        if trial is None:
-            issues.append(Issue("error", f"contrast references unknown trial {c.trial_id!r}"))
-            continue
-        for role, treatment, key in (
-            ("treatment", c.treatment, c.treatment_key),
-            ("comparator", c.comparator, c.comparator_key),
-        ):
-            if key not in trial.arm_keys:
-                issues.append(
-                    Issue("error", f"contrast {role} {treatment!r} is not an arm of {c.trial_id!r}")
-                )
-        if base.estimand_of(c) is None:
-            issues.append(
-                Issue(
-                    "error",
-                    f"contrast references undeclared estimand {c.estimand_label!r} "
-                    f"({c.endpoint}) in trial {c.trial_id!r}",
-                )
-            )
-        if c.key in seen:
-            issues.append(
-                Issue("error", f"duplicate contrast {c.treatment!r} vs {c.comparator!r} in {c.trial_id!r}")
-            )
-        seen.add(c.key)
-
-    seen.clear()
-    for arm in base.arm_summaries:
-        trial = base.trials.get(arm.trial_id)
-        if trial is None:
-            issues.append(Issue("error", f"arm summary references unknown trial {arm.trial_id!r}"))
-        elif arm.treatment_key not in trial.arm_keys:
-            issues.append(
-                Issue("error", f"arm treatment {arm.treatment!r} is not an arm of {arm.trial_id!r}")
-            )
-        if trial is not None and (arm.label_key, arm.endpoint) not in trial.estimands:
-            issues.append(Issue("error", f"arm summary references undeclared estimand {arm.estimand_label!r} "
-                                         f"({arm.endpoint}) in trial {arm.trial_id!r}"))
-        if arm.key in seen:  # the base keeps the first; a serialized copy would not parse
-            issues.append(Issue("error", f"duplicate arm summary for {arm.treatment!r} in {arm.trial_id!r}"))
-        seen.add(arm.key)
+    issues = [Issue("error", message) for _, _, message in _rule_errors(base)]
 
     groups: dict[tuple[str, str, str], list[ContrastEstimate]] = {}
     for c in base.contrasts:

@@ -286,6 +286,8 @@ class _StrategyRows(Sequence):
         return self.attenuation.size - len(self.attenuation)
 
     def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
         i, j = divmod(range(len(self))[k], len(self.treatments) - 1)
         j += j >= i  # the diagonal is skipped
         by_label = {label: view.at(i, j) for label, view in self.views.items()}

@@ -5,8 +5,9 @@ file holds, returns an int in 0..4 without raising, and a nonzero code's
 stderr starts with that code's prefix.  The case-study CSV, its JSON form and
 an analysis plan are mutated one to three edits at a time: a value replaced
 by an extreme or malformed token, a record deleted, duplicated or (in CSV)
-truncated, a field dropped.  The property is derandomized, so every run tries
-the same inputs.
+truncated, a field dropped.  A CSV may also have its section blocks moved and
+its rows padded with blank cells, as a spreadsheet writes them.  The properties
+are derandomized, so every run tries the same inputs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import contextlib
 import csv
 import io
 import json
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -77,6 +79,8 @@ CASE_DOC = json.dumps(evidence_to_dict(parse_evidence(em.case_study_path())))
 CASE_LINES = em.case_study_path().read_text(encoding="utf-8").splitlines()
 # indices of the data rows: neither a comment, a section tag nor a section's header
 DATA_ROWS = [i for i, line in enumerate(CASE_LINES) if "#" not in (line[:1], CASE_LINES[i - 1][:1])]
+# the section block of each line: 0 for the comments before the first tag, then 1..4 in file order
+BLOCK_OF = list(accumulate(int(line in ("#trials", "#estimands", "#contrasts", "#arms")) for line in CASE_LINES))
 PLAN = {
     "meta_estimands": [
         {"label": "hyp", "strategy": "hypothetical", "timepoint_tolerance_weeks": 4},
@@ -212,3 +216,25 @@ def test_mutated_plan(workdir, edits, argv):
     path = workdir / "plan.json"
     path.write_text(json.dumps(plan), encoding="utf-8")
     run([argv[0], "--input", str(em.case_study_path()), *argv[1:], "--config", str(path)])
+
+
+@settings(FUZZ, max_examples=100)
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(DATA_ROWS), st.sampled_from(KINDS), INDEX, st.sampled_from(NUMBERS),
+                  st.sampled_from(TEXTS)),
+        max_size=2,
+    ),
+    order=st.permutations([1, 2, 3, 4]),
+    pads=st.lists(st.integers(0, 12), min_size=len(CASE_LINES), max_size=len(CASE_LINES)),
+    argv=st.sampled_from(COMMANDS),
+)
+def test_moved_and_padded_csv(workdir, edits, order, pads, argv):
+    lines = [[line] for line in CASE_LINES]
+    for edit in edits:
+        edit_csv(lines, *edit)
+    padded = [[line + "," * pad for line in texts] for texts, pad in zip(lines, pads)]
+    moved = [line for block in (0, *order) for texts, b in zip(padded, BLOCK_OF) if b == block for line in texts]
+    path = workdir / "moved.csv"
+    path.write_text("".join(line + "\n" for line in moved), encoding="utf-8")
+    run([argv[0], "--input", str(path), *argv[1:]])

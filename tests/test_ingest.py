@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CYCLIC_TRIAL_CSV, HBA1C, WEIGHT, quantile_bisect
-from estimeta import ingest
+from estimeta import case_study_path, ingest
 from estimeta.estimands import (
     EndpointSpec,
     Estimand,
@@ -495,7 +496,7 @@ class TestUndeclaredArmEstimand:
             return
         text = serialize_evidence(base, form)  # the arm rows come last: the stray is the last line or record
         locator = f"line {len(text.splitlines())}" if form == "csv" else f"arms[{len(base.arm_summaries) - 1}]"
-        message = f"arm summary references undeclared estimand 'secondary' / '{HBA1C}' in trial 'AWARD-11'"
+        message = f"arm summary references undeclared estimand 'secondary' ({HBA1C}) in trial 'AWARD-11'"
         with pytest.raises(EvidenceFormatError, match=f"^{re.escape(f'{locator}: {message}')}$"):
             parse_evidence_text(text, form)
 
@@ -506,6 +507,72 @@ class TestUndeclaredArmEstimand:
         assert text.index("#arms") < text.index("#estimands")
         assert parse_evidence_text(text) == case_base
 
+
+
+class TestOneRulePass:
+    """A parse refuses a contrast or arm row exactly as `validate_evidence` reports it for the
+    same base built in code: its first error, at that record's place."""
+
+    @pytest.mark.parametrize("section, at, change", [
+        ("contrasts", 9, {"trial_id": "T9"}),
+        ("contrasts", 9, {"treatment": "Z"}),
+        ("contrasts", 9, {"comparator": "Z"}),
+        ("contrasts", 9, {"estimand_label": "secondary"}),
+        ("contrasts", 9, {}),
+        ("arms", 5, {"trial_id": "T9"}),
+        ("arms", 5, {"treatment": "Z"}),
+        ("arms", 5, {"estimand_label": "secondary"}),
+        ("arms", 5, {}),
+    ], ids=["unknown-trial", "treatment-not-an-arm", "comparator-not-an-arm", "undeclared-estimand", "duplicate",
+            "arm-unknown-trial", "arm-not-an-arm", "arm-undeclared-estimand", "arm-duplicate"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_parse_refuses_the_first_error_validate_reports(self, case_base, fmt, section, at, change):
+        field = "contrasts" if section == "contrasts" else "arm_summaries"
+        rows = list(getattr(case_base, field))
+        rows.insert(at + 1, dataclasses.replace(rows[at], **change))  # no change: a duplicate
+        base = dataclasses.replace(case_base, **{field: tuple(rows)})
+        errors = [i.message for i in validate_evidence(base) if i.severity == "error"]
+        assert len(errors) == 1
+        text = serialize_evidence(base, fmt)
+        if fmt == "csv":
+            locator = f"line {text.splitlines().index(f'#{section}') + 3 + at + 1}"
+        else:
+            locator = f"{section}[{at + 1}]"
+        with pytest.raises(EvidenceFormatError) as exc:
+            parse_evidence_text(text, fmt)
+        assert (exc.value.locator, str(exc.value)) == (locator, f"{locator}: {errors[0]}")
+
+    def test_arms_and_contrasts_before_the_trials(self, case_base):
+        sections = re.split(r"(?m)^(?=#)", serialize_evidence(case_base, "csv"))[1:]
+        by_tag = {chunk.split("\n", 1)[0]: chunk for chunk in sections}
+        order = ["#arms", "#contrasts", "#trials", "#estimands"]
+        assert parse_evidence_text("".join(map(by_tag.get, order))) == case_base
+        order = ["#estimands", "#trials", "#contrasts", "#arms"]  # a trial still comes before its estimands
+        with pytest.raises(EvidenceFormatError, match="^line 3: estimand references unknown trial 'AWARD-11'$"):
+            parse_evidence_text("".join(map(by_tag.get, order)))
+
+
+class TestSpreadsheetCsv:
+    """A spreadsheet writes each row padded with empty cells to the width of the widest row."""
+
+    def test_padded_rows_with_crlf_parse_equal(self, case_base, tmp_path):
+        rows = list(csv.reader(io.StringIO(case_study_path().read_text(encoding="utf-8"))))
+        width = max(map(len, rows))
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerows(row + [""] * (width - len(row)) for row in rows)
+        text = "\ufeff" + out.getvalue()  # as Excel's "CSV UTF-8" writes it
+        assert text.count(",\r\n") > len(rows) // 2
+        path = tmp_path / "evidence.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert parse_evidence(path) == parse_evidence_text(text) == case_base
+
+    def test_only_blank_cells_dropped(self):
+        row = "T1,primary,outcome,A,B,1.0,0.5,,,"
+        assert parse_evidence_text(MINIMAL.replace(row, row + ", ,")) == parse_evidence_text(MINIMAL)
+        with pytest.raises(EvidenceFormatError, match="^line 9: row has 11 fields, section #contrasts allows 10$"):
+            parse_evidence_text(MINIMAL.replace(row, row + ",x,,"))
+        with pytest.raises(EvidenceFormatError, match=r"^line 2: section #trials header must be"):
+            parse_evidence_text(MINIMAL.replace("trial_id,arms\n", "trial_id,arms,x,,\n"))
 
 def strings(base: EvidenceBase):
     """Every name and key a base keeps."""

@@ -769,6 +769,13 @@ class TestCompareStrategies:
         with pytest.raises(IndexError):
             table.rows[len(rows)]
 
+    @pytest.mark.parametrize("k", [slice(0, 2), slice(3, None), slice(-4, -1), slice(None, -2), slice(1, 20, 3),
+                                   slice(None, None, -5), slice(50, 60), slice(5, 5)])
+    def test_rows_slice_as_a_list(self, weight_results, k):
+        table = compare_strategies(weight_results, WEIGHT)
+        assert table.rows[k] == list(table.rows)[k]
+        assert type(table.rows[k]) is list
+
     def test_mismatched_treatment_sets_rejected(self, weight_results):
         base = synthetic_base([("T1", ["A", "B"], [0.02, 0.03], [1.5])])
         meta = synthesize_meta(base, "outcome", HYP)
