@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CYCLIC_TRIAL_CSV, HBA1C, WEIGHT, quantile_bisect
-from estimeta import case_study_path, ingest
+from estimeta import case_study_path
+from estimeta import ingest
 from estimeta.estimands import (
     EndpointSpec,
     Estimand,
