@@ -7,27 +7,26 @@ variances (diagonal v_t + v_c, off-diagonal the shared arms' variance), so
 that correlated treatment effects within multi-arm trials are accounted for.
 The design X is the network's signed incidence matrix without the
 reference's column.  The solve whitens each trial's rows by the Cholesky
-factor of its block: a 1x1 block's rows are divided by its se, and the
-larger blocks are factored in one batched Cholesky call per block size.
-QR of the whitened [X, y] gives R and Q'y; neither Q, the dense covariance
-(built only on demand, as `GlsSystem.sigma`) nor its inverse is formed.
-The singular values of R are a slice's one numeric verdict (assembly
-checks connectivity by traversal alone).  Each solve computes its league
-table once, as node-by-node arrays of md and se; `NmaResult.comparisons`
-and `comparison()` form each interval by one formula.
+factor of its block; QR of the whitened [X, y] gives R and Q'y, and neither
+Q, the dense covariance (built only on demand, as `GlsSystem.sigma`) nor its
+inverse is formed.  The singular values of R are a slice's one numeric
+verdict (assembly checks connectivity by traversal alone).  Each solve
+computes its league table once, as node-by-node arrays of md and se;
+`NmaResult.comparisons` and `comparison()` form each interval by one formula.
 
 A slice's blocks are built once, by `trial_blocks`, from the caller's
 evidence base: the feasibility report keeps them, and `assemble_gls`, the
 one way to build a `GlsSystem`, assembles the analysis's system over them.
-A block passes only the Cholesky factorization the solve whitens by, one
-batched call per block size, so feasibility, `validate_evidence` and the
-solve give one verdict per trial.
+One function judges every block, for `trial_covariance`, `trial_blocks` and
+the solve: `_block_factors` factors the blocks of one size in one stack (a
+1x1 block by its root, larger ones by one batched Cholesky call) and refuses
+the first that fails by its trial.  So feasibility, `validate_evidence` and
+the solve, which whitens by those factors, give one verdict per trial.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from contextlib import suppress
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Any, Optional
@@ -69,14 +68,13 @@ def trial_covariance(
     variances must be supplied, keyed by canonical treatment id; the block
     is assembled from them.  It is positive definite exactly when the contrasts,
     as edges over the arms, form a forest (a repeated pair is a cycle of two),
-    which a union-find pass decides; against rounding, `np.linalg.cholesky` (the
-    solve's factorization) must give it a finite factor.
+    which a union-find pass decides; against rounding, every block must pass
+    the judge the solve whitens by, `_block_factors`.
     """
     if not contrasts:
         raise CovarianceError("trial has no contrasts")
-    if len(contrasts) == 1:
-        return np.array([[contrasts[0].se ** 2]])
-    _require_factors([(contrasts[0].trial_id, block := _arm_block(contrasts, arm_variances))])
+    block = np.array([[contrasts[0].se ** 2]]) if len(contrasts) == 1 else _arm_block(contrasts, arm_variances)
+    _block_factors([block], contrasts)
     return block
 
 
@@ -109,25 +107,38 @@ def _arm_block(contrasts: Sequence[ContrastEstimate], arm_variances: Mapping[str
         return (signs * np.array(list(arm_variances.values()), dtype=float)) @ signs.T
 
 
-def _require_factors(blocks: Sequence[tuple[str, np.ndarray]]) -> None:
-    """Refuse the first (trial id, block), in row order, without a finite Cholesky factor: blocks of
-    one size are factored in one stacked call, as the solve's, and one by one only to name a trial."""
-    by_size: dict[int, list[np.ndarray]] = {}
-    for _, block in blocks:
-        by_size.setdefault(len(block), []).append(block)
-    if all(map(_factors, map(np.array, by_size.values()))):
-        return
-    for trial_id, block in blocks:
-        if not _factors(block):
-            raise CovarianceError(
-                f"covariance of trial {trial_id!r} is not positive definite (its Cholesky factorization fails)"
-            )
+def _block_factors(blocks: Sequence[np.ndarray],
+                   contrasts: Sequence[ContrastEstimate]) -> dict[int, tuple[list[int], np.ndarray]]:
+    """Block size -> (the indices of its blocks, in row order, and their stacked Cholesky factors).
+
+    A 1x1 block's factor is its root; each larger size is factored by one batched call.  The first
+    block, in row order, whose factor is not finite with a positive diagonal is refused by its trial,
+    which `contrasts`, the blocks' rows in order, name.
+    """
+    by_size: dict[int, list[int]] = {}
+    for i, block in enumerate(blocks):
+        by_size.setdefault(len(block), []).append(i)
+    factors, refused = {}, len(blocks)
+    for k, index in by_size.items():  # a 1x1 block is read as its float: quicker than stacking arrays
+        stack = np.array([blocks[i].item() if k == 1 else blocks[i] for i in index]).reshape(-1, k, k)
+        # a root only of a positive variance (NaN otherwise, with no warning), so a finite factor's
+        # diagonal is positive, as a Cholesky factor's is
+        factors[k] = index, np.sqrt(np.where(stack > 0.0, stack, np.nan)) if k == 1 else _cholesky(stack)
+        if not np.isfinite(factors[k][1]).all():
+            refused = min(refused, index[int(np.argmin(np.isfinite(factors[k][1]).all(axis=(1, 2))))])
+    if refused < len(blocks):
+        trial_id = contrasts[sum(map(len, blocks[:refused]))].trial_id
+        raise CovarianceError(f"covariance of trial {trial_id!r} is not positive definite "
+                              "(its Cholesky factorization fails)")
+    return factors
 
 
-def _factors(blocks: np.ndarray) -> bool:
-    with suppress(np.linalg.LinAlgError):
-        return bool(np.isfinite(np.linalg.cholesky(blocks)).all())
-    return False
+def _cholesky(stack: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of blocks, NaN for each block that fails to factor."""
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:  # the stacked call names no block: factor them one by one
+        return np.concatenate([_cholesky(block[None]) for block in stack]) if len(stack) > 1 else stack * np.nan
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,26 +189,20 @@ def trial_blocks(
 ) -> list[np.ndarray]:
     """Covariance blocks of the contrasts, grouped by trial in their order.
 
-    A single contrast's block is a (1, 1) view of one vector of se^2; the
-    multi-arm blocks are factored as the solve factors them, one stacked call
-    per block size.  With `independence_fallback`, a multi-arm trial without
-    arm-level data degrades to a diagonal block instead of failing; the
-    shared-arm correlation is then ignored.
+    A single contrast's block is a (1, 1) view of one vector of se^2.  Every
+    block, those built before a refused trial too, is judged by the solve's
+    factorization, `_block_factors`.  With `independence_fallback`, a multi-arm
+    trial without arm-level data degrades to a diagonal block instead of
+    failing; the shared-arm correlation is then ignored.
     """
     groups = [list(group) for _, group in groupby(contrasts, key=lambda c: c.trial_id)]
     singles = iter(np.array([g[0].se ** 2 for g in groups if len(g) == 1]).reshape(-1, 1, 1))
-    blocks, multi = [], []
+    blocks = []
     try:
         for group in groups:
-            if len(group) == 1:
-                blocks.append(next(singles))
-            else:
-                blocks.append(_block_for_trial(group, base, independence_fallback))
-                multi.append((group[0].trial_id, blocks[-1]))
-    except CovarianceError:
-        _require_factors(multi)  # a block before the refused trial that fails to factor is named first
-        raise
-    _require_factors(multi)
+            blocks.append(next(singles) if len(group) == 1 else _block_for_trial(group, base, independence_fallback))
+    finally:  # on a refusal too, so that a block before the refused trial that fails to factor is named first
+        _block_factors(blocks, contrasts)
     return blocks
 
 
@@ -297,29 +302,22 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
     """Solve theta = (X' Sigma^-1 X)^-1 X' Sigma^-1 y with its covariance.
 
     Whitens each trial's rows of X and y by the Cholesky factor of its block
-    (a 1x1 block's rows divided by its se, larger blocks of one size factored in
-    one batched call) and QR-factorizes the whitened [X, y] without forming Q.
+    from `_block_factors` (a 1x1 block's rows divided by its se, a larger block's
+    solved against its factor), so a block it refuses is named by its trial, as
+    in `trial_blocks`; then QR-factorizes the whitened [X, y] without forming Q.
     Conditioning of X' Sigma^-1 X is checked: above 1e8 a note is recorded,
     above 1e12 the solve is refused.  The league table's md and se are computed
     here, once, as arrays; building its view refuses an invalid `ci_level`.
     """
-    sizes = np.fromiter(map(len, system.blocks), np.intp, len(system.blocks))
-    starts, corners = np.cumsum(sizes) - sizes, np.cumsum(sizes * sizes) - sizes * sizes
-    entries = np.concatenate(system.blocks, axis=None)  # block after block; one begins at each corner
-    variances = entries[corners[sizes == 1]]  # of the 1x1 blocks, whose Cholesky factor is sqrt(v)
-    if not (np.isfinite(variances) & (variances > 0.0)).all():  # refused before the root is taken
-        raise CovarianceError("covariance matrix is not positive definite")
-    roots = np.ones_like(system.y)  # the rows of larger blocks are whitened below
-    roots[starts[sizes == 1]] = np.sqrt(variances)
-    design_w, y_w = system.design / roots[:, None], system.y / roots
-    for k in set(sizes.tolist()) - {1}:
-        rows = starts[sizes == k, None] + np.arange(k)  # trials x k row indices
-        try:
-            chol = np.linalg.cholesky(entries[corners[sizes == k, None] + np.arange(k * k)].reshape(-1, k, k))
-        except np.linalg.LinAlgError:
-            raise CovarianceError("covariance matrix is not positive definite") from None
-        design_w[rows] = np.linalg.solve(chol, system.design[rows])
-        y_w[rows] = np.linalg.solve(chol, system.y[rows, None])[..., 0]
+    starts = np.cumsum([0, *map(len, system.blocks)])[:-1]
+    design_w, y_w = system.design.copy(), system.y.copy()
+    for k, (index, factors) in _block_factors(system.blocks, system.contrasts).items():
+        rows = starts[index, None] + np.arange(k)  # trials x k row indices
+        if k == 1:  # the factors are the roots
+            design_w[rows], y_w[rows] = system.design[rows] / factors, system.y[rows] / factors[..., 0]
+        else:
+            design_w[rows] = np.linalg.solve(factors, system.design[rows])
+            y_w[rows] = np.linalg.solve(factors, system.y[rows, None])[..., 0]
     n = system.design.shape[1]
     factor = np.linalg.qr(np.column_stack([design_w, y_w]), mode="r")  # [R, Q'y], and Q is never formed
     r, qty = factor[:n, :n], factor[:n, n]

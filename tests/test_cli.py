@@ -128,6 +128,17 @@ class TestNetwork:
         assert lines[0] == f"infeasible: no connected evidence network for {HBA1C}, {WEIGHT}"
         assert [line.split(": ")[0] for line in lines[1:]] == [HBA1C, WEIGHT]
 
+    def test_plan_target_without_contrasts_exit_three(self, tmp_path, capsys):
+        # the planned target handles discontinuation while on treatment, as no HbA1c estimand does
+        handling = {"event_name": "premature treatment discontinuation", "strategy": "while_on_treatment"}
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps({"meta_estimands": [{**_FULL, "ie_handlings": [handling]}]}), encoding="utf-8")
+        argv = ["network", "--input", CASE, "--endpoint", "hba1c", "--estimand", "custom", "--config", str(config)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"infeasible: no connected evidence network for {HBA1C}", f"{HBA1C}: no contrasts"
+        ]
+
     def test_format_rejected(self, capsys):
         assert main(["network", "--input", CASE, "--endpoint", "hba1c", "--format", "json"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -217,6 +228,15 @@ class TestAnalyze:
         code = main(["analyze", "--input", CASE, "--estimand", "hypothetical"])
         assert code == 1
         assert "--endpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("endpoint, message", [
+        ("cholesterol", f"unknown endpoint 'cholesterol'; file has: {HBA1C}, {WEIGHT}"),
+        ("change", f"endpoint 'change' is ambiguous: {HBA1C}, {WEIGHT}"),
+    ])
+    def test_unresolved_endpoint_usage_error(self, endpoint, message, capsys):
+        code = main(["analyze", "--input", CASE, "--estimand", "hypothetical", "--endpoint", endpoint])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
     def test_missing_input_usage_error(self, capsys):
         assert main(["analyze", "--estimand", "hypothetical"]) == 1

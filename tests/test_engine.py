@@ -94,6 +94,15 @@ class TestTrialCovariance:
         with pytest.raises(CovarianceError, match="not positive definite"):
             trial_covariance(contrasts, arm_variances={"a": 0.01, "b": 0.02, "c": 0.03})
 
+    def test_no_contrasts_refused(self):
+        with pytest.raises(CovarianceError, match="^trial has no contrasts$"):
+            trial_covariance([])
+
+    def test_arm_variances_lacking_an_arm_refused(self):
+        contrasts = [contrast("T1", "B", "A", 1.0, 0.2), contrast("T1", "C", "A", 0.5, 0.2)]
+        with pytest.raises(CovarianceError, match="no arm variance for 'c' in trial 'T1'"):
+            trial_covariance(contrasts, arm_variances={"a": 0.01, "b": 0.01})
+
     def test_overflowed_block_refused_without_a_warning(self):
         # 1e308 + 1e308 overflows: the factor is not finite, so the block is refused
         contrasts = [contrast("T1", "B", "A", 1.0, 0.2), contrast("T1", "C", "A", 0.5, 0.2)]
@@ -526,6 +535,17 @@ class TestBlockWhitening:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(CovarianceError, match="not positive definite"):
+                solve_fixed_effects(system)
+
+    @pytest.mark.parametrize("block", [[[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]]],
+                             ids=["inf-variance", "nan-covariance"])
+    def test_invalid_multi_arm_block_refused_by_its_trial_without_a_warning(self, block):
+        # the solve judges a block as trial_covariance does: an infinite or NaN factor is refused
+        net = build_network([contrast("T1", "B", "A", 1.0, 0.2), contrast("T1", "C", "A", 0.5, 0.2)])
+        system = assemble_gls(net, "A", [np.array(block)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CovarianceError, match=r"covariance of trial 'T1' is not positive definite"):
                 solve_fixed_effects(system)
 
     def test_mixed_block_sizes_match_the_dense_oracle(self):

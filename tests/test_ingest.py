@@ -181,6 +181,15 @@ class TestParseEvidence:
         with pytest.raises(EvidenceFormatError, match="header"):
             parse_evidence_text(text)
 
+    def test_data_before_any_section_tag_rejected(self):
+        with pytest.raises(EvidenceFormatError, match=r"^line 1: data before any section tag: 'T1'$"):
+            parse_evidence_text("T1,A;B\n" + MINIMAL)
+
+    def test_stream_without_format_rejected(self):
+        with pytest.raises(ValueError, match="^format must be given when parsing from a stream$") as raised:
+            parse_evidence(io.StringIO(MINIMAL))
+        assert type(raised.value) is ValueError  # a caller's mistake, not a data error
+
 
 class TestRoundTrip:
     def test_csv_round_trip(self, case_base):
@@ -432,6 +441,12 @@ class TestFormatParity:
         doc = parity_doc()
         doc["trials"][0]["trial_id"] = 7
         with pytest.raises(EvidenceFormatError, match=r"trials\[0\].*must be text"):
+            parse_json_doc(doc)
+
+    def test_record_that_is_not_an_object_rejected(self):
+        doc = parity_doc()
+        doc["trials"][0] = "T1"
+        with pytest.raises(EvidenceFormatError, match=r"^trials\[0\]: record must be an object$"):
             parse_json_doc(doc)
 
     def test_unknown_json_keys_ignored(self):

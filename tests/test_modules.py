@@ -45,3 +45,12 @@ def test_record_readers_are_not_functions_of_the_traced_modules(monkeypatch):
         defined = {name for name, obj in vars(module).items()
                    if inspect.isfunction(obj) and obj.__module__ == module.__name__}
         assert defined & helpers == set(), layer
+
+
+def test_one_cholesky_call_site():
+    """Every covariance block is judged and factored by one engine function, so feasibility,
+    validation and the solve cannot drift apart: the package calls a Cholesky routine once."""
+    sites = [(path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "cholesky"]
+    assert len(sites) == 1, sites

@@ -148,6 +148,17 @@ class TestRestrictEvidence:
         restriction = restrict_evidence(case_base, hyp_meta, HBA1C)
         assert set(restriction.used) <= set(case_base.contrasts)
 
+    def test_contrast_under_an_undeclared_estimand_is_excluded(self):
+        # a base built in code skips the parse's rules: restriction still refuses the stray contrast
+        base = synthetic_base([("T1", ["A", "B", "C"], [0.25, 0.5, 1.0], [1.0, 0.5])])
+        stray = dataclasses.replace(base.contrasts[0], estimand_label="sensitivity")
+        base = dataclasses.replace(base, contrasts=base.contrasts + (stray,))
+        restriction = restrict_evidence(base, synthesize_meta(base, "outcome", HYP), "outcome")
+        assert restriction.used == base.contrasts[:2]
+        assert [(e.contrast, e.reasons) for e in restriction.excluded] == [
+            (stray, ("no estimand 'sensitivity' declared for 'T1'",))
+        ]
+
 
 class TestFeasibility:
     def test_case_study_feasible_with_warnings(self, case_base, hyp_meta):
