@@ -17,11 +17,12 @@ computes its league table once, as node-by-node arrays of md and se;
 A slice's blocks are built once, by `trial_blocks`, from the caller's
 evidence base: the feasibility report keeps them, and `assemble_gls`, the
 one way to build a `GlsSystem`, assembles the analysis's system over them.
-One function judges every block, for `trial_covariance`, `trial_blocks` and
-the solve: `_block_factors` factors the blocks of one size in one stack (a
-1x1 block by its root, larger ones by one batched Cholesky call) and refuses
-the first that fails by its trial.  So feasibility, `validate_evidence` and
-the solve, which whitens by those factors, give one verdict per trial.
+One function judges the blocks of `trial_covariance`, the solve and the
+multi-arm ones of `trial_blocks`: `_block_factors` factors the blocks of one
+size in one stack (a 1x1 block by its root, larger ones by one batched
+Cholesky call) and refuses the first that fails by its trial.  So
+feasibility, `validate_evidence` and the solve, which whitens by those
+factors, give one verdict per trial.
 """
 
 from __future__ import annotations
@@ -189,11 +190,12 @@ def trial_blocks(
 ) -> list[np.ndarray]:
     """Covariance blocks of the contrasts, grouped by trial in their order.
 
-    A single contrast's block is a (1, 1) view of one vector of se^2.  Every
-    block, those built before a refused trial too, is judged by the solve's
-    factorization, `_block_factors`.  With `independence_fallback`, a multi-arm
-    trial without arm-level data degrades to a diagonal block instead of
-    failing; the shared-arm correlation is then ignored.
+    A single contrast's block is a (1, 1) view of one vector of se^2, which
+    `ContrastEstimate` has judged.  Every larger block, those built before a
+    refused trial too, is judged by the solve's factorization, `_block_factors`.
+    With `independence_fallback`, a multi-arm trial without arm-level data
+    degrades to a diagonal block instead of failing; the shared-arm
+    correlation is then ignored.
     """
     groups = [list(group) for _, group in groupby(contrasts, key=lambda c: c.trial_id)]
     singles = iter(np.array([g[0].se ** 2 for g in groups if len(g) == 1]).reshape(-1, 1, 1))
@@ -202,7 +204,8 @@ def trial_blocks(
         for group in groups:
             blocks.append(next(singles) if len(group) == 1 else _block_for_trial(group, base, independence_fallback))
     finally:  # on a refusal too, so that a block before the refused trial that fails to factor is named first
-        _block_factors(blocks, contrasts)
+        multi = [i for i, block in enumerate(blocks) if len(block) > 1]
+        _block_factors([blocks[i] for i in multi], [c for i in multi for c in groups[i]])
     return blocks
 
 

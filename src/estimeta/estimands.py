@@ -312,16 +312,16 @@ def compare_estimands(a: Estimand, b: Estimand) -> AttributeDiff:
     ev_a, ev_b = a.events, b.events
     only_a = tuple(sorted(set(ev_a) - set(ev_b)))
     only_b = tuple(sorted(set(ev_b) - set(ev_a)))
+    shared = set(ev_a) & set(ev_b)
     conflicts = tuple(
         (name, ev_a[name], ev_b[name])
-        for name in sorted(set(ev_a) & set(ev_b))
+        for name in sorted(shared)
         if ev_a[name] is not ev_b[name]
     )
     diff = EventDiff(only_a, only_b, conflicts)
-    agreeing = [n for n in set(ev_a) & set(ev_b) if ev_a[n] is ev_b[n]]
     if diff.empty:
         ie = Verdict.IDENTICAL
-    elif agreeing:
+    elif len(conflicts) < len(shared):  # some shared event is handled alike
         ie = Verdict.OVERLAPPING
     else:
         ie = Verdict.DISJOINT
@@ -352,6 +352,8 @@ class AttributeCheck:
 
 
 _OK = AttributeCheck("ok")  # shared: a slice's verdicts live as long as its result
+# a verdict's attributes, in the order of its cells, blockers and warnings
+_ATTRIBUTES = ("summary_measure", "endpoint", "intercurrent_events", "population", "treatments")
 
 
 @dataclass(frozen=True)
@@ -374,83 +376,57 @@ def matches_meta(trial_estimand: Estimand, meta: MetaEstimand) -> MatchVerdict:
     in strict mode they block unless handled by a strategy the meta already
     uses.  Population and treatment differences never block -- they are
     screened qualitatively and surface as warnings only.
-    """
-    blockers: list[str] = []
-    warnings: list[str] = []
-    attrs: dict[str, AttributeCheck] = {}
 
-    if trial_estimand.summary_measure is meta.summary_measure:
-        attrs["summary_measure"] = _OK
-    else:
-        detail = (
+    An attribute's cell is `fail` with its blocking messages joined by "; ",
+    else `warn` with its warnings joined, else ok.  `blockers` and `warnings`
+    are those messages in attribute order, a failing cell's warnings too.
+    """
+    fails: dict[str, list[str]] = {attr: [] for attr in _ATTRIBUTES}
+    warns: dict[str, list[str]] = {attr: [] for attr in _ATTRIBUTES}
+
+    if trial_estimand.summary_measure is not meta.summary_measure:
+        fails["summary_measure"].append(
             f"summary measure {trial_estimand.summary_measure.value} vs {meta.summary_measure.value}"
         )
-        attrs["summary_measure"] = AttributeCheck("fail", detail)
-        blockers.append(detail)
 
     te, me = trial_estimand.endpoint, meta.endpoint
     if te.key != me.key or te.units_key != me.units_key:
-        detail = f"endpoint {te.name!r} [{te.units}] vs {me.name!r} [{me.units}]"
-        attrs["endpoint"] = AttributeCheck("fail", detail)
-        blockers.append(detail)
+        fails["endpoint"].append(f"endpoint {te.name!r} [{te.units}] vs {me.name!r} [{me.units}]")
     elif abs(te.timepoint_weeks - me.timepoint_weeks) > meta.timepoint_tolerance_weeks:
-        detail = (
+        fails["endpoint"].append(
             f"timepoint {te.timepoint_weeks} vs {me.timepoint_weeks} weeks exceeds "
             f"tolerance {meta.timepoint_tolerance_weeks}"
         )
-        attrs["endpoint"] = AttributeCheck("fail", detail)
-        blockers.append(detail)
-    else:
-        attrs["endpoint"] = _OK
 
     trial_events, meta_events = trial_estimand.events, meta.events
-    ie_blockers: list[str] = []
-    ie_warnings: list[str] = []
     for name, strategy in meta_events.items():
-        declared = trial_events.get(name)
-        if declared is None:
-            ie_blockers.append(f"event not declared: {name}")
+        if (declared := trial_events.get(name)) is None:
+            fails["intercurrent_events"].append(f"event not declared: {name}")
         elif declared is not strategy:
-            ie_blockers.append(
+            fails["intercurrent_events"].append(
                 f"strategy mismatch for {name}: trial {declared.value} vs meta {strategy.value}"
             )
-    meta_strategies = set(meta_events.values())
     for name in sorted(set(trial_events) - set(meta_events)):
         strategy = trial_events[name]
-        message = f"extra event: {name} ({strategy.value})"
-        if meta.matching_mode is MatchingMode.STRICT and strategy not in meta_strategies:
-            ie_blockers.append(message)
-        else:
-            ie_warnings.append(message)
-    if ie_blockers:
-        attrs["intercurrent_events"] = AttributeCheck("fail", "; ".join(ie_blockers))
-    elif ie_warnings:
-        attrs["intercurrent_events"] = AttributeCheck("warn", "; ".join(ie_warnings))
-    else:
-        attrs["intercurrent_events"] = _OK
-    blockers.extend(ie_blockers)
-    warnings.extend(ie_warnings)
+        blocking = meta.matching_mode is MatchingMode.STRICT and strategy not in meta_events.values()
+        (fails if blocking else warns)["intercurrent_events"].append(f"extra event: {name} ({strategy.value})")
 
     if trial_estimand.population_key != meta.population_key:
-        detail = f"population differs: {trial_estimand.population!r} vs {meta.population!r}"
-        attrs["population"] = AttributeCheck("warn", detail)
-        warnings.append(detail)
-    else:
-        attrs["population"] = _OK
+        warns["population"].append(f"population differs: {trial_estimand.population!r} vs {meta.population!r}")
 
-    trial_treatments, meta_treatments = trial_estimand.treatment_keys, meta.treatment_keys
-    if not trial_treatments <= meta_treatments:
-        extra = sorted(trial_treatments - meta_treatments)
-        detail = "treatments outside meta scope: " + ", ".join(extra)
-        attrs["treatments"] = AttributeCheck("warn", detail)
-        warnings.append(detail)
-    else:
-        attrs["treatments"] = _OK
+    if extra := sorted(trial_estimand.treatment_keys - meta.treatment_keys):
+        warns["treatments"].append("treatments outside meta scope: " + ", ".join(extra))
 
+    attrs = {
+        attr: AttributeCheck("fail", "; ".join(fails[attr])) if fails[attr]
+        else AttributeCheck("warn", "; ".join(warns[attr])) if warns[attr] else _OK
+        for attr in _ATTRIBUTES
+    }
+    blockers = tuple(message for attr in _ATTRIBUTES for message in fails[attr])
     return MatchVerdict(
         compatible=not blockers,
-        blockers=tuple(blockers),
-        warnings=tuple(warnings),
+        blockers=blockers,
+        warnings=tuple(message for attr in _ATTRIBUTES for message in warns[attr]),
         attributes=MappingProxyType(attrs),
     )
 

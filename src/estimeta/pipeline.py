@@ -44,7 +44,7 @@ from .estimands import (
 from .ingest import ContrastEstimate, EvidenceBase
 from .network import EvidenceNetwork, build_network, connected_components
 
-_WARNING_CODES = {
+_WARNING_CODES = {  # every attribute whose cell can warn (`matches_meta`)
     "population": "population_differs",
     "treatments": "treatment_scope",
     "intercurrent_events": "extra_event",
@@ -150,8 +150,7 @@ def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> 
             warned.add(slot)
             for attr, check in verdict.attributes.items():
                 if check.status == "warn":
-                    code = _WARNING_CODES.get(attr, "estimand_warning")
-                    warnings.setdefault((code, f"{contrast.trial_id}: {check.detail}"))
+                    warnings.setdefault((_WARNING_CODES[attr], f"{contrast.trial_id}: {check.detail}"))
 
     return Restriction(
         meta=meta,

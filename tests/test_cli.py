@@ -193,6 +193,12 @@ class TestAnalyze:
         assert code == 3
         assert "disconnected" in capsys.readouterr().err
 
+    def test_evidence_without_endpoints_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "trials_only.csv"
+        path.write_text("#trials\n", encoding="utf-8")
+        code = main(["analyze", "--input", str(path), "--estimand", "hypothetical"])
+        assert (code, capsys.readouterr().err) == (2, "data error: evidence base declares no endpoints\n")
+
     DEGENERATE = (
         "#trials\ntrial_id,arms\nT1,A;B\nT2,B;C\n"
         "#estimands\n"
@@ -365,6 +371,18 @@ class TestPlanFileFaults:
                      "--config", str(path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("data error: meta_estimands[1]: meta-estimand 'Target' is declared twice")
+
+    @pytest.mark.parametrize("record, estimand", [(_SHORTHAND, "hypothetical"), (_FULL, "custom")],
+                             ids=["shorthand", "full"])
+    def test_negative_tolerance_is_a_data_error(self, record, estimand, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"meta_estimands": [{**record, "timepoint_tolerance_weeks": -1}]}),
+                        encoding="utf-8")
+        code = main(["analyze", "--input", CASE, "--estimand", estimand, "--endpoint", "hba1c",
+                     "--config", str(path)])
+        assert (code, capsys.readouterr().err) == (
+            2, "data error: meta_estimands[0]: timepoint tolerance must be nonnegative\n"
+        )
 
     def test_unsatisfiable_shorthand_stays_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "plan.json"

@@ -6,7 +6,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HBA1C, WEIGHT
@@ -289,6 +289,53 @@ def test_verdicts_ignore_case_and_whitespace(estimand, rnd):
     meta = MetaEstimand.from_estimand(estimand, tolerance_weeks=0, mode=MatchingMode.STRICT)
     assert matches_meta(mangled, meta).compatible == matches_meta(estimand, meta).compatible
     assert compare_estimands(mangled, estimand).event_diff.empty
+
+
+ATTRIBUTES = ["summary_measure", "endpoint", "intercurrent_events", "population", "treatments"]
+
+
+@st.composite
+def trials_and_targets(draw):
+    """A trial estimand and a target meta-estimand, alike or apart in each attribute, whose
+    events come from a small pool; a trial often repeats the target's events before its own."""
+
+    def estimand(label, events):
+        return Estimand(
+            label=label,
+            population=draw(st.sampled_from(["adults", "adults with T2D"])),
+            treatments=frozenset(draw(st.sets(st.sampled_from("ABCD"), min_size=2, max_size=3))),
+            endpoint=EndpointSpec(name=draw(st.sampled_from(["outcome one", "outcome two"])),
+                                  units=draw(st.sampled_from(["kg", "%"])),
+                                  timepoint_weeks=draw(st.integers(min_value=30, max_value=42))),
+            summary_measure=SummaryMeasure.MEAN_DIFFERENCE,
+            ie_handlings=tuple(IntercurrentEventHandling(n, s) for n, s in events.items()),
+        )
+
+    pool_events = st.dictionaries(st.sampled_from([RESCUE, DISCONT, DOSE, "death"]), strategies, max_size=3)
+    target_events = draw(pool_events)
+    trial_events = {**(target_events if draw(st.booleans()) else {}), **draw(pool_events)}
+    meta = MetaEstimand.from_estimand(estimand("target", target_events),
+                                      tolerance_weeks=draw(st.integers(min_value=0, max_value=8)),
+                                      mode=draw(st.sampled_from(list(MatchingMode))))
+    return estimand("trial", trial_events), meta
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(trials_and_targets())
+def test_verdict_cells_blockers_and_warnings_agree(trial_and_target):
+    verdict = matches_meta(*trial_and_target)
+    cells = verdict.attributes
+    assert list(cells) == ATTRIBUTES
+    failed = [check.detail for check in cells.values() if check.status == "fail"]
+    assert verdict.compatible == (not verdict.blockers and not failed)
+    assert "; ".join(failed) == "; ".join(verdict.blockers)
+    warned = "; ".join(verdict.warnings)
+    for check in cells.values():
+        assert check.status in ("ok", "warn", "fail")
+        if check.status == "warn":
+            assert check.detail and check.detail in warned
+        if check.status == "ok":
+            assert check.detail == ""
 
 
 # --- whitespace normalization ---------------------------------------------------

@@ -191,6 +191,32 @@ class TestParseEvidence:
         assert type(raised.value) is ValueError  # a caller's mistake, not a data error
 
 
+class TestRecordRefusals:
+    """Each record rule refuses its record at its line."""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("mean_change,ci_lower,ci_upper,ci_level\n",
+             "mean_change,ci_lower,ci_upper,ci_level\nT1,primary,outcome,A,0,0,-1,1,0.95\n",
+             "line 12: n_randomized must be >= 1, got 0"),
+            ("outcome,A,B,", "outcome,A,A,", "line 9: contrast compares 'A' with itself"),
+            ("1.0,0.5", "1.0,0", "line 9: se must be a positive finite number, got 0.0"),
+            ("1.0,0.5", "1.0,-1", "line 9: se must be a positive finite number, got -1.0"),
+            ("T1,A;B", "T1,A;a", "line 3: trial 'T1' lists a duplicate arm"),
+            ("dropout:hypothetical", "  :hypothetical",
+             "line 6: intercurrent event name is empty after canonicalization"),
+            ("dropout:hypothetical", "dropout:hypothetical;  DropOut :treatment_policy",
+             "line 6: duplicate intercurrent event 'dropout'"),
+        ],
+        ids=["arm-n-zero", "self-contrast", "se-zero", "se-negative", "duplicate-arm", "empty-event",
+             "duplicate-event"],
+    )
+    def test_refused_at_its_line(self, old, new, message):
+        with pytest.raises(EvidenceFormatError, match=f"^{re.escape(message)}$"):
+            parse_evidence_text(MINIMAL.replace(old, new, 1))
+
+
 class TestRoundTrip:
     def test_csv_round_trip(self, case_base):
         text = serialize_evidence(case_base, format="csv")

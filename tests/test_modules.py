@@ -54,3 +54,19 @@ def test_one_cholesky_call_site():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "cholesky"]
     assert len(sites) == 1, sites
+
+
+def test_no_unused_imports():
+    """Every name a module imports is read in it, so a deletion cannot leave a dead import.
+    `__init__.py` re-exports what it imports and is exempt."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in sorted(imported - read)]
+    assert unused == []

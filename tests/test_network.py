@@ -130,6 +130,10 @@ class TestConnectivity:
         assert is_connected(net)
         assert connected_components(net) == (("A",),)
 
+    def test_empty_network_refused(self):
+        with pytest.raises(NetworkError, match="^network has no nodes$"):
+            is_connected(EvidenceNetwork((), ()))
+
     def test_laplacian_agrees_with_union_find_oracle(self):
         rng = np.random.default_rng(20240817)
         for _ in range(300):

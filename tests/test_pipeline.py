@@ -632,6 +632,16 @@ class TestBatchedCovarianceVerdict:
             variances = {a.treatment_key: a.variance for a in base.arm_summaries if a.trial_id == trial[0]}
             assert np.array_equal(block, engine.trial_covariance(group, variances if len(group) > 1 else None))
 
+    def test_only_multi_arm_blocks_are_judged(self, case_base, hyp_meta, monkeypatch):
+        """A two-arm trial's [se^2] block cannot fail to factor, as ingest refuses such an se."""
+        judged, judge = [], engine._block_factors
+        monkeypatch.setattr(engine, "_block_factors",
+                            lambda blocks, contrasts: judged.extend(blocks) or judge(blocks, contrasts))
+        net = network.build_network(restrict_evidence(case_base, hyp_meta, HBA1C).used)
+        blocks = engine.trial_blocks(net.edges, case_base)
+        assert sorted(len(b) for b in blocks) == [1, 1, 2]
+        assert [b.shape for b in judged] == [(2, 2)]
+
 
 class TestOneNumericVerdict:
     """Connectivity is decided by traversal; the solve alone judges the weights."""
