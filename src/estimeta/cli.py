@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 from .engine import (
     NmaResult,
     NumericalError,
-    comparison_rows,
+    league_table,
     result_to_dict,
 )
 from .estimands import MatchingMode, canonical
@@ -211,14 +211,20 @@ def _fmt2(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _percent(level: float) -> str:
+    """A confidence level as a percentage: "95%" for 0.95, and never "0%" or "100%" within (0, 1)."""
+    text = f"{level * 100:.15g}"
+    return f"{repr(level * 100) if text == '100' else text}%"
+
+
+def _slug(label: str) -> str:
+    """A meta-estimand label as the prefix of its CSV columns."""
+    return canonical(label).replace(" ", "_")
+
+
 def _text_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in [header, *rows]]
     return "\n".join(lines) + "\n"
 
 
@@ -297,27 +303,18 @@ def _cmd_network(args) -> int:
 
 
 def _render_league(result: NmaResult, fmt: str) -> str:
-    rows = comparison_rows(result)
     if fmt == "json":
         return json.dumps(result_to_dict(result), indent=2) + "\n"
+    rows = league_table(result)
     if fmt == "csv":
         return _csv_text(
             ["treatment", "comparator", "md", "ci_lower", "ci_upper", "se"],
-            [[r["treatment"], r["comparator"], r["md"], r["ci_lower"], r["ci_upper"], r["se"]]
-             for r in rows],
+            [[c.treatment, c.comparator, c.md, c.ci_lower, c.ci_upper, c.se] for c in rows],
         )
-    level = int(round(result.ci_level * 100))
     return _text_table(
-        ["treatment", "comparator", "md", f"{level}% CI"],
-        [
-            [
-                r["treatment"],
-                r["comparator"],
-                _fmt2(r["md"]),
-                f"({_fmt2(r['ci_lower'])}, {_fmt2(r['ci_upper'])})",
-            ]
-            for r in rows
-        ],
+        ["treatment", "comparator", "md", f"{_percent(result.ci_level)} CI"],
+        [[c.treatment, c.comparator, _fmt2(c.md), f"({_fmt2(c.ci_lower)}, {_fmt2(c.ci_upper)})"]
+         for c in rows],
     )
 
 
@@ -331,7 +328,7 @@ def _run_slices(args, labels: Sequence[str]) -> tuple[str, float, dict[str, NmaR
     ci_level = args.ci_level if args.ci_level is not None else config.ci_level if config else 0.95
     metas = [resolve_meta(base, endpoint, label, config=config, tolerance_weeks=tolerance, mode=mode)
              for label in labels]
-    if len({m.label_key for m in metas}) < len(metas):  # only compare takes two labels
+    if len({_slug(m.label) for m in metas}) < len(metas):  # only compare takes two labels
         raise UsageError(f"--estimands names the meta-estimand {metas[0].label!r} twice")
     results = {
         meta.label: run_analysis(base, meta, endpoint, reference=reference, ci_level=ci_level, force=args.force)
@@ -354,8 +351,7 @@ def _render_comparison(table: StrategyComparison, fmt: str, ci_level: float) -> 
         return json.dumps(strategy_comparison_to_dict(table), indent=2) + "\n"
     if fmt == "csv":
         header = ["treatment", "comparator"]
-        for label in labels:
-            slug = canonical(label).replace(" ", "_")
+        for slug in map(_slug, labels):
             header += [f"{slug}_md", f"{slug}_ci_lower", f"{slug}_ci_upper"]
         header.append("attenuation")
         rows = []
@@ -367,10 +363,7 @@ def _render_comparison(table: StrategyComparison, fmt: str, ci_level: float) -> 
             cells.append("true" if row.attenuation else "false")
             rows.append(cells)
         return _csv_text(header, rows)
-    level = int(round(ci_level * 100))
-    header = ["treatment", "comparator"]
-    header += [f"{label} md ({level}% CI)" for label in labels]
-    header.append("attenuated")
+    header = ["treatment", "comparator", *(f"{label} md ({_percent(ci_level)} CI)" for label in labels), "attenuated"]
     rows = []
     for row in table.rows:
         cells = [row.treatment, row.comparator]

@@ -378,21 +378,6 @@ def league_table(result: NmaResult) -> tuple[ComparisonResult, ...]:
     return tuple(result.comparisons.values())
 
 
-def comparison_rows(result: NmaResult) -> list[dict]:
-    """Plot-ready rows: treatment, comparator, md, ci_lower, ci_upper, se."""
-    return [
-        {
-            "treatment": c.treatment,
-            "comparator": c.comparator,
-            "md": c.md,
-            "ci_lower": c.ci_lower,
-            "ci_upper": c.ci_upper,
-            "se": c.se,
-        }
-        for c in result.comparisons.values()
-    ]
-
-
 def result_to_dict(result: NmaResult) -> dict:
     """Structured form mirroring the result type."""
     return {
@@ -405,5 +390,9 @@ def result_to_dict(result: NmaResult) -> dict:
         "covariance": [[float(v) for v in row] for row in result.covariance],
         "condition_number": result.condition_number,
         "notes": list(result.notes),
-        "comparisons": comparison_rows(result),
+        "comparisons": [
+            {"treatment": c.treatment, "comparator": c.comparator, "md": c.md,
+             "ci_lower": c.ci_lower, "ci_upper": c.ci_upper, "se": c.se}
+            for c in league_table(result)
+        ],
     }

@@ -362,6 +362,14 @@ class TestPlanFileFaults:
         assert err.startswith(f"data error: {where}: ")
         assert err.count("\n") == 1
 
+    def test_one_treatment_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"meta_estimands": [{**_FULL, "treatments": ["A"]}]}), encoding="utf-8")
+        code = main(["analyze", "--input", CASE, "--estimand", "custom", "--endpoint", "hba1c", "--config", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: meta_estimands[0]: a comparative estimand needs at least two treatments\n")
+
     def test_label_declared_twice_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "plan.json"
         records = [{"label": "target", "strategy": "hypothetical"},
@@ -546,6 +554,16 @@ class TestCompare:
         assert captured.err == "usage error: --estimands names the meta-estimand 'hypothetical' twice\n"
         assert ran == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_labels_with_one_column_name_are_a_usage_error(self, fmt, capsys):
+        """Two spellings of one strategy token would name the same CSV columns twice."""
+        code = main(["compare", "--input", CASE, "--endpoint", "hba1c", "--format", fmt,
+                     "--estimands", "treatment policy", "treatment_policy"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --estimands names the meta-estimand 'treatment policy' twice\n"
+
     def test_slices_covering_different_treatments_are_infeasible(self, tmp_path, capsys):
         # T1 reports B-A under both strategies, T2 reports C-A under the hypothetical one only
         path = tmp_path / "evidence.csv"
@@ -632,6 +650,16 @@ class TestCiLevel:
                      "--endpoint", "hba1c", "--ci-level", "0.9"])
         assert code == 0
         assert "90% CI" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("level, shown", [("0.999", "99.9%"), ("0.995", "99.5%"), ("0.004", "0.4%"),
+                                              ("0.9999999999999998", "99.99999999999997%")])
+    def test_header_never_rounds_to_zero_or_a_hundred(self, level, shown, capsys):
+        argv = ["--input", CASE, "--endpoint", "hba1c", "--ci-level", level]
+        assert main(["analyze", "--estimand", "hypothetical", *argv]) == 0
+        assert capsys.readouterr().out.splitlines()[0].split()[-3:] == ["md", shown, "CI"]
+        assert main(["compare", "--estimands", "hypothetical", "treatment_policy", *argv]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert f"hypothetical md ({shown} CI)" in header and f"treatment_policy md ({shown} CI)" in header
 
 
 class TestJsonDataErrors:

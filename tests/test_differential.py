@@ -5,10 +5,15 @@ contrast SEs are reported, derived from a confidence interval, or derived from
 the arms.  The oracle builds y, X and the dense covariance from the generator's
 own records, so the parser, the restriction, the covariance blocks and the
 renderer are all checked together.
+
+The metamorphic relations edit a generated file in ways that must not move the
+analysis (a contrast reported the other way round, a treatment respelled,
+records that the target does not admit) and compare the two documents.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import tempfile
@@ -16,11 +21,12 @@ from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import gls_brute
 from estimeta.cli import main
+from estimeta.estimands import canonical
 
 _ESTIMAND = {
     "label": "primary",
@@ -143,3 +149,106 @@ class TestWholeFileDifferential:
         # criterion 4's tolerances
         np.testing.assert_allclose(list(payload["basic_estimates"].values()), theta, rtol=1e-8, atol=1e-11)
         np.testing.assert_allclose(payload["covariance"], cov, rtol=1e-8, atol=1e-11)
+
+
+# --- metamorphic relations ---------------------------------------------------
+
+METAMORPHIC = settings(derandomize=True, deadline=None, database=None, max_examples=100,
+                       suppress_health_check=[HealthCheck.too_slow])
+
+
+def _analyze(doc: dict, fmt: str) -> dict:
+    """`analyze --format json` on `doc` written as `fmt`, run in process, with T0 as reference."""
+    with tempfile.TemporaryDirectory() as tmp:
+        source, output = Path(tmp) / f"evidence.{fmt}", Path(tmp) / "result.json"
+        source.write_text(json.dumps(doc) if fmt == "json" else _csv(doc), encoding="utf-8")
+        code = main(["analyze", "--input", str(source), "--estimand", "hypothetical", "--endpoint", "outcome",
+                     "--reference", "T0", "--format", "json", "--output", str(output)])
+        assert code == 0
+        return json.loads(output.read_text(encoding="utf-8"))
+
+
+def _assert_same_analysis(got: dict, want: dict) -> None:
+    """Every basic estimate and every comparison's md and se agree within 1e-12 (relative),
+    matched by canonical treatment name."""
+    def values(payload: dict) -> dict:
+        out = {("estimate", canonical(t)): v for t, v in payload["basic_estimates"].items()}
+        for c in payload["comparisons"]:
+            pair = canonical(c["treatment"]), canonical(c["comparator"])
+            out["md", *pair], out["se", *pair] = c["md"], c["se"]
+        return out
+
+    assert canonical(got["reference"]) == canonical(want["reference"])
+    got, want = values(got), values(want)
+    assert got.keys() == want.keys()
+    keys = sorted(want)
+    np.testing.assert_allclose([got[k] for k in keys], [want[k] for k in keys], rtol=1e-12, atol=0)
+
+
+def _rename(doc: dict, spell) -> None:
+    """Respell, in place, each treatment name of each record as `spell(name)`."""
+    for trial in doc["trials"]:
+        trial["arms"] = [spell(arm) for arm in trial["arms"]]
+    for section, fields in (("contrasts", ("treatment", "comparator")), ("arms", ("treatment",))):
+        for record in doc[section]:
+            record.update({field: spell(record[field]) for field in fields})
+
+
+class TestMetamorphicRelations:
+    @METAMORPHIC
+    @given(evidence(), st.sampled_from(["csv", "json"]), st.integers(0, 63))
+    def test_a_contrast_reported_the_other_way_round(self, case, fmt, at):
+        doc, _ = case
+        flipped = copy.deepcopy(doc)
+        row = flipped["contrasts"][at % len(flipped["contrasts"])]
+        row["treatment"], row["comparator"], row["md"] = row["comparator"], row["treatment"], -row["md"]
+        if "ci_lower" in row:
+            row["ci_lower"], row["ci_upper"] = -row["ci_upper"], -row["ci_lower"]
+        _assert_same_analysis(_analyze(flipped, fmt), _analyze(doc, fmt))
+
+    @METAMORPHIC
+    @given(evidence(), st.sampled_from(["csv", "json"]), st.data())
+    def test_a_treatment_respelled_in_some_records(self, case, fmt, data):
+        doc, _ = case
+        _rename(doc, lambda name: name if name == "T0" else f"drug {name}")
+        spellings = st.sampled_from([None, str.upper, str.lower, lambda name: name.replace(" ", "   "),
+                                     lambda name: name.swapcase().replace(" ", "  ")])
+
+        def respell(name: str) -> str:  # T0 is the reference, named on the command line
+            spell = None if name == "T0" else data.draw(spellings)
+            return spell(name) if spell else name
+
+        respelled = copy.deepcopy(doc)
+        _rename(respelled, respell)
+        _assert_same_analysis(_analyze(respelled, fmt), _analyze(doc, fmt))
+
+    @METAMORPHIC
+    @given(evidence(), st.sampled_from(["csv", "json"]), st.data())
+    def test_records_the_target_does_not_admit(self, case, fmt, data):
+        """Copies of some trials' records, with other mds, under another endpoint or under an
+        estimand of another strategy; and a trial, and a treatment, only the other endpoint sees."""
+        doc, _ = case
+        added = copy.deepcopy(doc)
+        for tid in (t["trial_id"] for t in doc["trials"] if data.draw(st.booleans())):
+            if data.draw(st.booleans()):
+                label, endpoint, handlings = "primary", "weight", _ESTIMAND["ie_handlings"]
+            else:
+                strategy = data.draw(st.sampled_from(["treatment_policy", "composite", "while_on_treatment"]))
+                label, endpoint = "secondary", "outcome"
+                handlings = [{"event_name": "discontinuation", "strategy": strategy}]
+            added["estimands"].append({"trial_id": tid, **_ESTIMAND, "label": label, "endpoint_name": endpoint,
+                                       "ie_handlings": handlings})
+            where = {"estimand_label": label, "endpoint_name": endpoint}
+            added["arms"] += [{**r, **where} for r in doc["arms"] if r["trial_id"] == tid]
+            for record in (r for r in doc["contrasts"] if r["trial_id"] == tid):
+                shift = data.draw(st.floats(-3.0, 3.0))
+                copied = {**record, **where, "md": record["md"] + shift}
+                if "ci_lower" in record:
+                    copied.update(ci_lower=record["ci_lower"] + shift, ci_upper=record["ci_upper"] + shift)
+                added["contrasts"].append(copied)
+        if data.draw(st.booleans()):
+            added["trials"].append({"trial_id": "W", "arms": ["T0", "T9"]})
+            added["estimands"].append({"trial_id": "W", **_ESTIMAND, "endpoint_name": "weight"})
+            added["contrasts"].append({**_ROW, "trial_id": "W", "endpoint_name": "weight", "treatment": "T9",
+                                       "comparator": "T0", "md": 1.0, "se": 0.5})
+        _assert_same_analysis(_analyze(added, fmt), _analyze(doc, fmt))

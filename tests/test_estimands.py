@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import sys
 
@@ -131,6 +132,12 @@ class TestCompareEstimands:
         diff = compare_estimands(trial_estimand("a", HYP), trial_estimand("b", TP))
         assert diff.intercurrent_events is Verdict.DISJOINT
         assert len(diff.event_diff.strategy_conflicts) == 2
+
+    def test_disjoint_treatments(self):
+        other = dataclasses.replace(trial_estimand("b", HYP), treatments=frozenset({"drug Z 3 mg", "placebo"}))
+        diff = compare_estimands(trial_estimand("a", HYP), other)
+        assert diff.treatments is Verdict.DISJOINT
+        assert (diff.population, diff.endpoint, diff.intercurrent_events) == (Verdict.IDENTICAL,) * 3
 
 
 class TestMatchesMeta:

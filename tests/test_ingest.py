@@ -475,6 +475,12 @@ class TestFormatParity:
         with pytest.raises(EvidenceFormatError, match=r"^trials\[0\]: record must be an object$"):
             parse_json_doc(doc)
 
+    def test_blank_endpoint_name_rejected(self):
+        doc = parity_doc()
+        doc["estimands"][0]["endpoint_name"] = "  "
+        with pytest.raises(EvidenceFormatError, match=r"^estimands\[0\]: endpoint name must be nonempty$"):
+            parse_json_doc(doc)
+
     def test_unknown_json_keys_ignored(self):
         doc = parity_doc()
         doc["estimands"][0]["direction"] = "higher_is_better"

@@ -70,3 +70,25 @@ def test_no_unused_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.name, name) for name in sorted(imported - read)]
     assert unused == []
+
+
+def test_no_unused_private_names():
+    """Every module-level `_name` (function, class or constant) and every class's `_method` is read
+    in its own module, so a deletion cannot strand a private helper."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [m.name for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        unused += [(path.name, name) for name in defined
+                   if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert unused == []

@@ -109,6 +109,11 @@ class TestBuildNetwork:
         with pytest.raises(NetworkError, match="unknown treatment 'C'"):
             EvidenceNetwork(nodes=("A", "B"), edges=(contrast("T1", "C", "A"),))
 
+    def test_edge_naming_an_unknown_comparator_rejected(self):
+        c = contrast("T1", "A", "B")
+        with pytest.raises(NetworkError, match="^unknown treatment 'B'$"):
+            EvidenceNetwork((c.treatment,), (c,))
+
 
 class TestConnectivity:
     def test_case_study_connected(self, case_network):
