@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .records import as_integer, forms, interned, shared, text_of, value_of
 
@@ -231,8 +231,7 @@ class Verdict(enum.Enum):
     DISJOINT = "disjoint"
 
 
-@dataclass(frozen=True)
-class EventDiff:
+class EventDiff(NamedTuple):
     """Event-level differences between two estimands' IE handlings."""
 
     only_in_a: tuple[str, ...]
@@ -244,8 +243,7 @@ class EventDiff:
         return not (self.only_in_a or self.only_in_b or self.strategy_conflicts)
 
 
-@dataclass(frozen=True)
-class AttributeDiff:
+class AttributeDiff(NamedTuple):
     """Per-attribute comparison of two estimands."""
 
     population: Verdict
@@ -343,8 +341,7 @@ def compare_estimands(a: Estimand, b: Estimand) -> AttributeDiff:
     )
 
 
-@dataclass(frozen=True)
-class AttributeCheck:
+class AttributeCheck(NamedTuple):
     """Outcome of one attribute in a trial-vs-meta match: ok, warn or fail."""
 
     status: str
@@ -356,8 +353,7 @@ _OK = AttributeCheck("ok")  # shared: a slice's verdicts live as long as its res
 _ATTRIBUTES = ("summary_measure", "endpoint", "intercurrent_events", "population", "treatments")
 
 
-@dataclass(frozen=True)
-class MatchVerdict:
+class MatchVerdict(NamedTuple):
     """Whether a trial estimand may contribute to a meta-analytical estimand."""
 
     compatible: bool
@@ -440,14 +436,12 @@ ALIGNMENT_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class AlignmentRow:
+class AlignmentRow(NamedTuple):
     label: str
     verdict: MatchVerdict
 
 
-@dataclass(frozen=True)
-class AlignmentReport:
+class AlignmentReport(NamedTuple):
     """One row per trial estimand, one column per attribute, vs one meta-estimand."""
 
     meta_label: str

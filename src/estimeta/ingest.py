@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Optional, Sequence, Union
+from typing import IO, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .estimands import Estimand, canonical, normalize_id
 from .normal import z_for_level
@@ -170,10 +170,16 @@ class TrialRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arm_keys", tuple(canonical(a) for a in self.arms))
+        if not self.trial_id.strip():
+            raise ValueError("trial_id is empty")
         if self.trial_id.startswith("#"):  # in CSV, a row whose first cell starts with '#' is a tag or comment
             raise ValueError(f"trial id {self.trial_id!r} starts with '#'")
         if bad := [a for a in self.arms if ";" in a]:  # a CSV cell joins a trial's arms with ';'
             raise ValueError(f"arm name {bad[0]!r} of trial {self.trial_id!r} contains ';'")
+        if len(self.arms) < 2:
+            raise ValueError(f"trial {self.trial_id!r} needs at least two arms")
+        if len(set(self.arm_keys)) != len(self.arms):
+            raise ValueError(f"trial {self.trial_id!r} lists a duplicate arm")
 
     def estimand_for(self, label: str, endpoint_key: str) -> Optional[Estimand]:
         return self.estimands.get((canonical(label), canonical(endpoint_key)))
@@ -224,8 +230,7 @@ class EvidenceBase:
         return trial.estimands.get((contrast.label_key, contrast.endpoint))
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(NamedTuple):
     severity: str  # "error" or "warning"
     message: str
 
@@ -300,17 +305,10 @@ class _Builder:
 
     def _add_trial(self, record: Mapping) -> None:
         trial_id = normalize_id(text_of(record, "trial_id"))
-        if not trial_id:
-            raise ValueError("trial_id is empty")
         if trial_id in self.trials:
             raise ValueError(f"duplicate trial {trial_id!r}")
         arms = filter(None, map(normalize_id, names_of(record, "arms")))
-        trial = TrialRecord(trial_id=trial_id, arms=tuple(arms), estimands={})
-        if len(trial.arms) < 2:
-            raise ValueError(f"trial {trial_id!r} needs at least two arms")
-        if len(set(trial.arm_keys)) != len(trial.arms):
-            raise ValueError(f"trial {trial_id!r} lists a duplicate arm")
-        self.trials[trial_id] = trial
+        self.trials[trial_id] = TrialRecord(trial_id=trial_id, arms=tuple(arms), estimands={})
 
     def _add_estimand(self, record: Mapping) -> None:
         """Declare an estimand of a trial: its five attributes as `Estimand.from_record` reads them."""
@@ -589,6 +587,10 @@ def validate_evidence(base: EvidenceBase) -> list[Issue]:
     """
     from .engine import CovarianceError, trial_blocks  # here, as engine imports this module
     issues = [Issue("error", message) for _, _, message in _rule_errors(base)]
+    for trial_id, trial in base.trials.items():  # a parse gives each estimand its trial's arms
+        issues += [Issue("error", f"estimand {e.label!r} ({e.endpoint.key}) in trial {trial_id!r} treats "
+                                  f"{sorted(e.treatments)}, not the trial's arms {list(trial.arms)}")
+                   for e in trial.estimands.values() if e.treatment_keys != set(trial.arm_keys)]
 
     groups: dict[tuple[str, str, str], list[ContrastEstimate]] = {}
     for c in base.contrasts:

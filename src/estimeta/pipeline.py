@@ -18,7 +18,7 @@ import enum
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -64,21 +64,18 @@ class IncomparableSlicesError(ValueError):
     """Raised when the evidence leaves the compared slices with different treatments."""
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(NamedTuple):
     code: str
     severity: str  # "error" or "warning"
     message: str
 
 
-@dataclass(frozen=True)
-class ExcludedContrast:
+class ExcludedContrast(NamedTuple):
     contrast: ContrastEstimate
     reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(NamedTuple):
     """One slice: the target, its canonical endpoint key, and how each contrast fared."""
 
     meta: MetaEstimand
@@ -293,8 +290,7 @@ class _StrategyRows(Sequence):
         return StrategyRow(self.treatments[i], self.treatments[j], by_label, self.attenuation.item(i, j))
 
 
-@dataclass(frozen=True)
-class StrategyComparison:
+class StrategyComparison(NamedTuple):
     endpoint: str
     labels: tuple[str, ...]
     baseline_label: str

@@ -8,7 +8,8 @@ renderer are all checked together.
 
 The metamorphic relations edit a generated file in ways that must not move the
 analysis (a contrast reported the other way round, a treatment respelled,
-records that the target does not admit) and compare the two documents.
+records that the target does not admit, a three-arm trial re-based to another
+arm, a two-arm trial split in two) and compare the two documents.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import gls_brute
@@ -49,8 +50,13 @@ def _z(level: float) -> float:
 
 
 @st.composite
-def evidence(draw):
-    """(evidence document, oracle trials): each oracle trial is (arms, mds, its covariance block)."""
+def evidence(draw, seeded_mds: bool = False):
+    """(evidence document, oracle trials): each oracle trial is (arms, mds, its covariance block).
+
+    With `seeded_mds`, the mds come from one seeded generator on a grid of 2**-20, so their
+    differences are exact and no two coincide or cancel but by a rare chance: a relative bound
+    cannot hold on an estimate whose true value is 0, which each solve rounds its own way."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1))) if seeded_mds else None
     names = [f"T{i}" for i in range(draw(st.integers(2, 5)))]
     trials = [names[i : i + 2] for i in range(len(names) - 1)]  # a spanning chain keeps it connected
     trials += draw(st.lists(st.lists(st.sampled_from(names), min_size=2, max_size=3, unique=True), max_size=4))
@@ -63,7 +69,8 @@ def evidence(draw):
         doc["estimands"].append({"trial_id": tid, **_ESTIMAND})
         mds, ses, with_arms = [], [], len(arms) == 3  # a multi-arm block needs every arm's variance
         for k in range(1, len(arms)):
-            md, source = draw(st.floats(-5.0, 5.0)), draw(st.sampled_from(["se", "ci", "arms"]))
+            md = round(rng.uniform(-5.0, 5.0) * 2**20) / 2**20 if rng else draw(st.floats(-5.0, 5.0))
+            source = draw(st.sampled_from(["se", "ci", "arms"]))
             # two-arm trials may report an SE of their own; a multi-arm one agrees with its arms
             se = math.sqrt(variances[0] + variances[k]) if with_arms or source == "arms" else draw(st.floats(0.05, 1.5))
             row = {**_ROW, "trial_id": tid, "treatment": arms[k], "comparator": arms[0], "md": md}
@@ -252,3 +259,35 @@ class TestMetamorphicRelations:
             added["contrasts"].append({**_ROW, "trial_id": "W", "endpoint_name": "weight", "treatment": "T9",
                                        "comparator": "T0", "md": 1.0, "se": 0.5})
         _assert_same_analysis(_analyze(added, fmt), _analyze(doc, fmt))
+
+    @METAMORPHIC
+    @given(evidence(seeded_mds=True), st.sampled_from(["csv", "json"]), st.data())
+    def test_a_three_arm_trial_rebased_to_another_arm(self, case, fmt, data):
+        """A three-arm trial's contrasts reported against arm r, md_j - md_r, with no se or interval:
+        its SEs and shared-arm covariance come from its arm rows."""
+        doc, oracle = case
+        three = [j for j, (arms, _, _) in enumerate(oracle) if len(arms) == 3]
+        assume(three)
+        j = data.draw(st.sampled_from(three))
+        (arms, mds, _), tid, r = oracle[j], f"S{j}", data.draw(st.sampled_from([1, 2]))
+        md = [0.0, *mds]
+        rebased = copy.deepcopy(doc)
+        rebased["contrasts"] = [c for c in doc["contrasts"] if c["trial_id"] != tid]
+        rebased["contrasts"] += [{**_ROW, "trial_id": tid, "treatment": arms[k], "comparator": arms[r],
+                                  "md": md[k] - md[r]} for k in range(3) if k != r]
+        _assert_same_analysis(_analyze(rebased, fmt), _analyze(doc, fmt))
+
+    @METAMORPHIC
+    @given(evidence(seeded_mds=True), st.sampled_from(["csv", "json"]), st.data())
+    def test_a_two_arm_trial_split_in_two(self, case, fmt, data):
+        """A two-arm trial of SE s replaced by two trials of its arms, each with its md and SE s*sqrt(2)."""
+        doc, oracle = case
+        j = data.draw(st.sampled_from([j for j, (arms, _, _) in enumerate(oracle) if len(arms) == 2]))
+        (arms, (md,), block), tid = oracle[j], f"S{j}"
+        split = {section: [r for r in records if r["trial_id"] != tid] for section, records in doc.items()}
+        for half in (f"{tid}a", f"{tid}b"):
+            split["trials"].append({"trial_id": half, "arms": arms})
+            split["estimands"].append({"trial_id": half, **_ESTIMAND})
+            split["contrasts"].append({**_ROW, "trial_id": half, "treatment": arms[1], "comparator": arms[0],
+                                       "md": md, "se": math.sqrt(2.0 * block[0, 0])})
+        _assert_same_analysis(_analyze(split, fmt), _analyze(doc, fmt))

@@ -298,6 +298,21 @@ T1,primary,outcome,C,A,0.5,0.5,,,
         issues = validate_evidence(dataclasses.replace(base, contrasts=tuple(contrasts), arm_summaries=tuple(arms)))
         assert [i for i in issues if i.severity == "error"] == [Issue("error", message)]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_estimand_over_other_treatments_than_its_arms(self, fmt):
+        # a parse gives each estimand its trial's arms, so only a base built in code can differ,
+        # and its serialization parses back to another base
+        base = parse_evidence_text(MINIMAL)
+        trial = base.trials["T1"]
+        (key, estimand), = trial.estimands.items()
+        other = dataclasses.replace(estimand, treatments=frozenset({"A", "placebo"}))
+        base = dataclasses.replace(base, trials={"T1": dataclasses.replace(trial, estimands={key: other})})
+        assert validate_evidence(base) == [
+            Issue("error", "estimand 'primary' (outcome) in trial 'T1' treats ['A', 'placebo'], "
+                           "not the trial's arms ['A', 'B']")
+        ]
+        assert parse_evidence_text(serialize_evidence(base, fmt), fmt) != base
+
     def test_two_arm_single_trial_is_clean(self):
         assert validate_evidence(parse_evidence_text(MINIMAL)) == []
 
@@ -515,6 +530,18 @@ class TestWritableInBothFormats:
         doc[section][n] = {**doc[section][0], **bad}
         with pytest.raises(EvidenceFormatError, match=rf"^{section}\[{n}\]: {re.escape(message)}"):
             parse_json_doc(doc)
+
+    @pytest.mark.parametrize("trial_id, arms, message", [
+        (" ", ("A", "B"), "trial_id is empty"),
+        ("#X1", ("A;x",), "trial id '#X1' starts with '#'"),
+        ("X1", ("A;x",), "arm name 'A;x' of trial 'X1' contains ';'"),
+        ("X1", ("A",), "trial 'X1' needs at least two arms"),
+        ("X1", ("A", "B", " a"), "trial 'X1' lists a duplicate arm"),
+    ], ids=["blank-id", "hash-id", "semicolon-arm", "one-arm", "duplicate-arm"])
+    def test_trial_rules_hold_for_a_record_built_in_code(self, trial_id, arms, message):
+        # a base holding such a trial would serialize to text that does not parse
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrialRecord(trial_id, arms, {})
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_byte_order_mark_skipped(self, case_base, tmp_path, fmt):

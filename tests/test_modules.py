@@ -92,3 +92,25 @@ def test_no_unused_private_names():
         unused += [(path.name, name) for name in defined
                    if name.startswith("_") and not name.startswith("__") and name not in read]
     assert unused == []
+
+
+def test_dataclasses_use_what_only_a_dataclass_gives():
+    """A `@dataclass` has a `__post_init__`, a `field(...)` or `eq=False`; a record of fields alone
+    is a `NamedTuple`, whose class compiles one method at import where a dataclass compiles several.
+    `ComparisonResult` and `StrategyRow` are exempt: tests count their construction by patching
+    `__init__`, which a tuple subclass never runs."""
+    plain = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        classes = [n for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(n, ast.ClassDef)
+                   and n.name not in {"ComparisonResult", "StrategyRow"}]
+        for node in classes:
+            decorators = [d for d in node.decorator_list if "dataclass" in ast.unparse(d)]
+            if not decorators:
+                continue
+            post_init = any(isinstance(m, ast.FunctionDef) and m.name == "__post_init__" for m in node.body)
+            field_call = any(isinstance(n, ast.Call) and ast.unparse(n.func) == "field" for n in ast.walk(node))
+            no_eq = any(k.arg == "eq" and ast.unparse(k.value) == "False"
+                        for d in decorators if isinstance(d, ast.Call) for k in d.keywords)
+            if not (post_init or field_call or no_eq):
+                plain.append((path.name, node.name))
+    assert plain == []
