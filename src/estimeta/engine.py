@@ -6,17 +6,20 @@ a 1x1 block [se^2]; a k-arm trial contributes a block built from per-arm
 variances (diagonal v_t + v_c, off-diagonal the shared arms' variance), so
 that correlated treatment effects within multi-arm trials are accounted for.
 The design X is the network's signed incidence matrix without the
-reference's column.  The solve whitens each trial's rows by the Cholesky
-factor of its block; QR of the whitened [X, y] gives R and Q'y, and neither
-Q, the dense covariance (built only on demand, as `GlsSystem.sigma`) nor its
-inverse is formed.  The singular values of R are a slice's one numeric
-verdict (assembly checks connectivity by traversal alone).  Each solve
-computes its league table once, as node-by-node arrays of md and se;
-`NmaResult.comparisons` and `comparison()` form each interval by one formula.
+reference's column; a system keeps each row's two columns.  The solve writes
+the whitened [X, y] at once, each trial's rows over its block's own columns
+by the Cholesky factor of the block; QR of it gives R and Q'y, and neither
+Q, X nor the dense covariance (both built only on demand, as
+`GlsSystem.design` and `.sigma`) nor its inverse is formed.  The singular
+values of R are a slice's one numeric verdict (assembly checks connectivity
+by traversal alone).  Each solve computes its league table once, as
+node-by-node arrays of md and se; `NmaResult.comparisons` and `comparison()`
+form each interval by one formula.
 
 A slice's blocks are built once, by `trial_blocks`, from the caller's
-evidence base: the feasibility report keeps them, and `assemble_gls`, the
-one way to build a `GlsSystem`, assembles the analysis's system over them.
+evidence base (the multi-arm blocks of one shape as one stacked product):
+the feasibility report keeps them, and `assemble_gls`, the one way to build
+a `GlsSystem`, assembles the analysis's system over them.
 One function judges the blocks of `trial_covariance`, the solve and the
 multi-arm ones of `trial_blocks`: `_block_factors` factors the blocks of one
 size in one stack (a 1x1 block by its root, larger ones by one batched
@@ -27,16 +30,16 @@ factors, give one verdict per trial.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Any, Optional
 
 import numpy as np
 
 from .estimands import canonical
 from .ingest import ContrastEstimate, EvidenceBase
-from .network import EvidenceNetwork, connected_components, incidence
+from .network import EvidenceNetwork, connected_components
 from .normal import z_for_level
 
 CONDITION_ERROR = 1e12
@@ -59,10 +62,8 @@ class NumericalError(RuntimeError):
     """Conditioning or factorization failure; carries a diagnostic message."""
 
 
-def trial_covariance(
-    contrasts: Sequence[ContrastEstimate],
-    arm_variances: Mapping[str, float] | None = None,
-) -> np.ndarray:
+def trial_covariance(contrasts: Sequence[ContrastEstimate],
+                     arm_variances: Mapping[str, float] | None = None) -> np.ndarray:
     """Within-trial covariance block for one trial's contrasts.
 
     A single contrast yields [se^2].  With two or more contrasts, per-arm
@@ -74,38 +75,40 @@ def trial_covariance(
     """
     if not contrasts:
         raise CovarianceError("trial has no contrasts")
-    block = np.array([[contrasts[0].se ** 2]]) if len(contrasts) == 1 else _arm_block(contrasts, arm_variances)
+    if len(contrasts) > 1 and arm_variances is None:
+        raise CovarianceError("shared-arm variance unidentifiable: multi-arm trial needs arm-level variances")
+    block = np.array([[contrasts[0].se ** 2]]) if len(contrasts) == 1 else _arm_blocks(
+        np.array([_forest(contrasts, arm_variances)]), np.array([[*arm_variances.values()]], dtype=float))[0]
     _block_factors([block], contrasts)
     return block
 
 
-def _arm_block(contrasts: Sequence[ContrastEstimate], arm_variances: Mapping[str, float] | None) -> np.ndarray:
-    """S diag(v) S' over the arms of a multi-arm trial, refused unless its contrasts form a forest."""
-    if arm_variances is None:
-        raise CovarianceError(
-            "shared-arm variance unidentifiable: multi-arm trial needs arm-level variances"
-        )
-    column = {arm: j for j, arm in enumerate(arm_variances)}
-    signs = np.zeros((len(contrasts), len(column)))  # S: +1 treatment, -1 comparator arm
+def _forest(contrasts: Sequence[ContrastEstimate], arms: Iterable[str]) -> list[tuple[int, int]]:
+    """Each contrast's (treatment, comparator) column in the order of `arms`, refused unless
+    every arm is there and the contrasts, as edges over the arms, form a forest."""
+    column = {arm: j for j, arm in enumerate(arms)}
     component = list(range(len(column)))  # union-find (quick-find) over the arms
-    for i, c in enumerate(contrasts):
-        for arm, sign in ((c.treatment_key, 1.0), (c.comparator_key, -1.0)):
-            if arm not in column:
-                raise CovarianceError(
-                    f"shared-arm variance unidentifiable: no arm variance for {arm!r} "
-                    f"in trial {c.trial_id!r}"
-                )
-            signs[i, column[arm]] = sign
-        a, b = component[column[c.treatment_key]], component[column[c.comparator_key]]
-        if a == b:
-            raise CovarianceError(
-                f"covariance of trial {c.trial_id!r} is not positive definite: its contrasts "
-                "are linearly dependent (they close a cycle over its arms)"
-            )
+    ends = []
+    for c in contrasts:
+        if (t := column.get(c.treatment_key)) is None or (m := column.get(c.comparator_key)) is None:
+            raise CovarianceError(f"shared-arm variance unidentifiable: no arm variance for "
+                                  f"{c.comparator_key if t is not None else c.treatment_key!r} in trial {c.trial_id!r}")
+        if (a := component[t]) == (b := component[m]):
+            raise CovarianceError(f"covariance of trial {c.trial_id!r} is not positive definite: its contrasts "
+                                  "are linearly dependent (they close a cycle over its arms)")
         component = [a if k == b else k for k in component]
-    # S diag(v) S': each entry sums at most two nonzero, exactly signed variances (an overflow is refused later)
+        ends.append((t, m))
+    return ends
+
+
+def _arm_blocks(ends: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """S diag(v) S' of the multi-arm trials of one shape, stacked: S is +1 at each contrast's treatment
+    and -1 at its comparator (trials x contrasts x 2 arm columns), v the trials x arms variances."""
+    signs, (trial, row) = np.zeros((*ends.shape[:2], variances.shape[1])), np.indices(ends.shape[:2])
+    signs[trial, row, ends[..., 0]], signs[trial, row, ends[..., 1]] = 1.0, -1.0
+    # each entry sums at most two nonzero, exactly signed variances (an overflow is refused later)
     with np.errstate(over="ignore"):
-        return (signs * np.array(list(arm_variances.values()), dtype=float)) @ signs.T
+        return (signs * variances[:, None, :]) @ signs.transpose(0, 2, 1)
 
 
 def _block_factors(blocks: Sequence[np.ndarray],
@@ -142,17 +145,36 @@ def _cholesky(stack: np.ndarray) -> np.ndarray:
         return np.concatenate([_cholesky(block[None]) for block in stack]) if len(stack) > 1 else stack * np.nan
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GlsSystem:
-    """Stacked contrast system over basic parameters vs one reference."""
+    """Stacked contrast system over basic parameters vs one reference.
+
+    A row of the design X is +1 at its treatment's column and -1 at its comparator's: `ends` keeps
+    the two (-1 for the reference, which has none), and X is built on demand.  X may be given instead.
+    """
 
     y: np.ndarray
-    design: np.ndarray
+    ends: np.ndarray  # rows x 2 design columns
     blocks: tuple[np.ndarray, ...]  # per-trial covariance blocks, in row order
     reference: str
     treatments: tuple[str, ...]  # full node order, reference included
     parameters: tuple[str, ...]  # design columns (non-reference treatments)
     contrasts: tuple[ContrastEstimate, ...]
+
+    def __init__(self, y, blocks, reference, treatments, parameters, contrasts, ends=None, design=None) -> None:
+        if ends is None:  # the column of each row's +1 and of its -1, or -1 where it has none
+            ends = np.column_stack([np.where((design == s).any(1), (design == s).argmax(1), -1) for s in (1.0, -1.0)])
+        vars(self).update(y=y, ends=ends, blocks=tuple(blocks), reference=reference, treatments=treatments,
+                          parameters=parameters, contrasts=contrasts)
+        if design is not None and not np.array_equal(self.design, design):
+            raise ValueError("a design row must be +1 at one column and -1 at another, or one of the two")
+
+    @property
+    def design(self) -> np.ndarray:
+        """X, built on demand; the solve never uses it."""
+        design, rows = np.zeros((len(self.y), len(self.parameters) + 1)), np.arange(len(self.y))
+        design[rows, self.ends[:, 0]], design[rows, self.ends[:, 1]] = 1.0, -1.0
+        return design[:, :-1]
 
     @property
     def sigma(self) -> np.ndarray:
@@ -165,7 +187,7 @@ class GlsSystem:
 
 
 def assemble_gls(net: EvidenceNetwork, reference: str, blocks: Sequence[np.ndarray]) -> GlsSystem:
-    """Build y and X of a network slice over its per-trial covariance blocks.
+    """Build y and the design's columns of a network slice over its per-trial covariance blocks.
 
     Row order is the network's deterministic contrast order (trial id,
     treatment, comparator); `blocks` are those `trial_blocks(net.edges, base)`
@@ -174,10 +196,11 @@ def assemble_gls(net: EvidenceNetwork, reference: str, blocks: Sequence[np.ndarr
     if len(connected_components(net)) != 1:
         raise DisconnectedNetworkError("evidence network is disconnected")
     ref_idx = net.node_index(reference)
+    ends = np.fromiter(chain.from_iterable(net.ends), np.intp, 2 * len(net.ends)).reshape(-1, 2)  # node indices
     return GlsSystem(
         y=np.array([c.md for c in net.edges]),
-        design=np.delete(incidence(net), ref_idx, axis=1),
-        blocks=tuple(blocks),
+        ends=np.where(ends == ref_idx, -1, ends - (ends > ref_idx)),
+        blocks=blocks,
         reference=net.nodes[ref_idx],
         treatments=net.nodes,
         parameters=net.nodes[:ref_idx] + net.nodes[ref_idx + 1 :],
@@ -185,52 +208,59 @@ def assemble_gls(net: EvidenceNetwork, reference: str, blocks: Sequence[np.ndarr
     )
 
 
-def trial_blocks(
-    contrasts: Sequence[ContrastEstimate], base: EvidenceBase, *, independence_fallback: bool = False
-) -> list[np.ndarray]:
-    """Covariance blocks of the contrasts, grouped by trial in their order.
+def trial_blocks(contrasts: Sequence[ContrastEstimate], base: EvidenceBase, *,
+                 independence_fallback: bool = False) -> list[np.ndarray]:
+    """Covariance blocks of the contrasts, grouped by trial in their order (`group_blocks`)."""
+    return group_blocks([list(g) for _, g in groupby(contrasts, key=lambda c: c.trial_id)], base,
+                        independence_fallback=independence_fallback)
 
-    A single contrast's block is a (1, 1) view of one vector of se^2, which
-    `ContrastEstimate` has judged.  Every larger block, those built before a
-    refused trial too, is judged by the solve's factorization, `_block_factors`.
-    With `independence_fallback`, a multi-arm trial without arm-level data
-    degrades to a diagonal block instead of failing; the shared-arm
-    correlation is then ignored.
+
+def group_blocks(groups: Sequence[Sequence[ContrastEstimate]], base: EvidenceBase, *,
+                 independence_fallback: bool = False) -> list[np.ndarray]:
+    """Covariance blocks of groups of contrasts, one trial's each, in order.
+
+    A single contrast's block is a (1, 1) view of one vector of se^2, which `ContrastEstimate`
+    has judged.  A multi-arm block reads its arm rows by the contrasts' stored keys, and the
+    blocks of one shape are one stacked product.  Every larger block, those built before a
+    refused trial too, is judged by the solve's factorization, `_block_factors`.  With
+    `independence_fallback`, a multi-arm trial without arm rows gets a diagonal block instead.
     """
-    groups = [list(group) for _, group in groupby(contrasts, key=lambda c: c.trial_id)]
     singles = iter(np.array([g[0].se ** 2 for g in groups if len(g) == 1]).reshape(-1, 1, 1))
-    blocks = []
+    # shapes: (contrasts, arms) -> (block index, arm columns, arm variances) of each multi-arm trial
+    blocks, multi, shapes = [], [], {}
     try:
         for group in groups:
-            blocks.append(next(singles) if len(group) == 1 else _block_for_trial(group, base, independence_fallback))
+            if len(group) == 1:
+                blocks.append(next(singles))
+                continue
+            if variances := _arm_variances(group, base, independence_fallback):
+                ends = _forest(group, variances)  # refused before its shape lists it
+                shapes.setdefault((len(group), len(variances)), []).append((len(blocks), ends, [*variances.values()]))
+            multi.append(len(blocks))
+            blocks.append(None if variances else np.diag([c.se**2 for c in group]))  # None: built below
     finally:  # on a refusal too, so that a block before the refused trial that fails to factor is named first
-        multi = [i for i, block in enumerate(blocks) if len(block) > 1]
+        for index, ends, variances in (zip(*stack) for stack in shapes.values()):
+            for i, block in zip(index, _arm_blocks(np.array(ends), np.array(variances))):
+                blocks[i] = block
         _block_factors([blocks[i] for i in multi], [c for i in multi for c in groups[i]])
     return blocks
 
 
-def _block_for_trial(
-    group: Sequence[ContrastEstimate], base: EvidenceBase, independence_fallback: bool
-) -> np.ndarray:
+def _arm_variances(group: Sequence[ContrastEstimate], base: EvidenceBase, independence_fallback: bool) -> dict:
+    """A multi-arm trial's arm key -> variance, in order of first appearance so that a message names
+    the arms alike on every run; empty where the independence fallback stands in for them."""
     sample = group[0]
     if len(labels := {c.label_key for c in group}) > 1:
-        raise CovarianceError(
-            f"trial {sample.trial_id!r} contributes contrasts under several estimands: {sorted(labels)}"
-        )
-    # arms in order of first appearance, so that a message names them alike on every run
-    summaries = {
-        arm: base.arm_summary(sample.trial_id, sample.estimand_label, sample.endpoint, arm)
-        for arm in dict.fromkeys(arm for c in group for arm in (c.treatment_key, c.comparator_key))
-    }
+        raise CovarianceError(f"trial {sample.trial_id!r} contributes contrasts under several estimands: {sorted(labels)}")
+    summaries = {arm: base.arm_summary(sample.trial_id, sample.label_key, sample.endpoint, arm)
+                 for arm in dict.fromkeys(arm for c in group for arm in (c.treatment_key, c.comparator_key))}
     if missing := [repr(arm) for arm, summary in summaries.items() if summary is None]:
-        if independence_fallback:  # unit arm variances: a cycle over the arms is refused first
-            _arm_block(group, dict.fromkeys(summaries, 1.0))
-            return np.diag([c.se**2 for c in group])
-        raise CovarianceError(
-            f"shared-arm variance unidentifiable: trial {sample.trial_id!r} lacks an arm "
-            f"summary for {', '.join(missing)} ({sample.estimand_label} / {sample.endpoint})"
-        )
-    return _arm_block(group, {arm: s.variance for arm, s in summaries.items()})
+        if independence_fallback:  # a cycle over the arms is refused first
+            _forest(group, summaries)
+            return {}
+        raise CovarianceError(f"shared-arm variance unidentifiable: trial {sample.trial_id!r} lacks an arm "
+                              f"summary for {', '.join(missing)} ({sample.estimand_label} / {sample.endpoint})")
+    return {arm: s.variance for arm, s in summaries.items()}
 
 
 @dataclass(frozen=True)
@@ -304,25 +334,14 @@ class NmaResult:
 def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
     """Solve theta = (X' Sigma^-1 X)^-1 X' Sigma^-1 y with its covariance.
 
-    Whitens each trial's rows of X and y by the Cholesky factor of its block
-    from `_block_factors` (a 1x1 block's rows divided by its se, a larger block's
-    solved against its factor), so a block it refuses is named by its trial, as
-    in `trial_blocks`; then QR-factorizes the whitened [X, y] without forming Q.
-    Conditioning of X' Sigma^-1 X is checked: above 1e8 a note is recorded,
-    above 1e12 the solve is refused.  The league table's md and se are computed
-    here, once, as arrays; building its view refuses an invalid `ci_level`.
+    Writes [X, y] whitened by the Cholesky factors of the blocks from `_block_factors`
+    (`_whitened`), so a block it refuses is named by its trial, as in `trial_blocks`; then
+    QR-factorizes it without forming Q.  Conditioning of X' Sigma^-1 X is checked: above 1e8 a
+    note is recorded, above 1e12 the solve is refused.  The league table's md and se are
+    computed here, once, as arrays; building its view refuses an invalid `ci_level`.
     """
-    starts = np.cumsum([0, *map(len, system.blocks)])[:-1]
-    design_w, y_w = system.design.copy(), system.y.copy()
-    for k, (index, factors) in _block_factors(system.blocks, system.contrasts).items():
-        rows = starts[index, None] + np.arange(k)  # trials x k row indices
-        if k == 1:  # the factors are the roots
-            design_w[rows], y_w[rows] = system.design[rows] / factors, system.y[rows] / factors[..., 0]
-        else:
-            design_w[rows] = np.linalg.solve(factors, system.design[rows])
-            y_w[rows] = np.linalg.solve(factors, system.y[rows, None])[..., 0]
-    n = system.design.shape[1]
-    factor = np.linalg.qr(np.column_stack([design_w, y_w]), mode="r")  # [R, Q'y], and Q is never formed
+    n = len(system.parameters)
+    factor = np.linalg.qr(_whitened(system), mode="r")  # [R, Q'y], and Q is never formed
     r, qty = factor[:n, :n], factor[:n, n]
     singular_values = np.linalg.svd(r, compute_uv=False)
     if singular_values[-1] == 0.0:
@@ -361,6 +380,29 @@ def solve_fixed_effects(system: GlsSystem, ci_level: float = 0.95) -> NmaResult:
         condition_number=condition,
         notes=notes,
     )
+
+
+def _whitened(system: GlsSystem) -> np.ndarray:
+    """[X_w, y_w]: each trial's rows of X and y whitened by its block's factor over the block's own
+    columns (a 1x1 row's two as +-1 over its root); column -1 takes the reference's ends, then y_w."""
+    starts = np.cumsum([0, *map(len, system.blocks)])[:-1]
+    whitened, y_w = np.zeros((len(system.y), len(system.parameters) + 1)), system.y.copy()
+    for k, (index, factors) in _block_factors(system.blocks, system.contrasts).items():
+        rows = starts[index, None] + np.arange(k)  # trials x k row indices
+        ends = system.ends[rows]  # trials x k x (treatment, comparator) columns
+        if k == 1:  # the factors are the roots
+            rows, roots = rows[:, 0], factors[:, 0, 0]
+            whitened[rows, ends[:, 0, 0]], whitened[rows, ends[:, 0, 1]] = 1.0 / roots, -1.0 / roots
+            y_w[rows] = system.y[rows] / roots
+        else:
+            columns = np.sort(ends.reshape(len(rows), 2 * k), axis=1)  # a block's columns, each once
+            columns[:, 1:][columns[:, 1:] == columns[:, :-1]] = -1
+            signs = np.where(columns[:, None] == ends[..., :1], 1.0,
+                             np.where(columns[:, None] == ends[..., 1:], -1.0, 0.0))
+            whitened[rows[..., None], columns[:, None]] = np.linalg.solve(factors, signs)
+            y_w[rows] = np.linalg.solve(factors, system.y[rows, None])[..., 0]
+    whitened[:, -1] = y_w
+    return whitened
 
 
 def comparison(result: NmaResult, a: str, b: str, level: float | None = None) -> ComparisonResult:

@@ -169,6 +169,8 @@ class TrialRecord:
     arm_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)  # canonical arms, in order
 
     def __post_init__(self) -> None:
+        # a parse keeps no blank arm name and trims the others, so a trial built in code does too
+        object.__setattr__(self, "arms", tuple(filter(None, map(normalize_id, self.arms))))
         object.__setattr__(self, "arm_keys", tuple(canonical(a) for a in self.arms))
         if not self.trial_id.strip():
             raise ValueError("trial_id is empty")
@@ -197,23 +199,34 @@ class EvidenceBase:
     )
     # endpoint key -> trial id -> that trial's estimands of the endpoint, all in declaration order
     _estimand_index: Mapping[str, Mapping[str, list[Estimand]]] = field(init=False, repr=False, compare=False)
+    # a slot is an (endpoint key, trial id, estimand label key): the slots -> their ids, numbered in
+    # the order of their first contrasts; each contrast's slot id; and endpoint key -> the slot id of
+    # each of its estimands, in `estimands_by_trial` order, -1 for one that no contrast lies under
+    slots: Mapping[tuple[str, str, str], int] = field(init=False, repr=False, compare=False)
+    slot_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    estimand_slots: Mapping[str, Sequence[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index: dict[tuple[str, str, str, str], ArmSummary] = {}
         for arm in self.arm_summaries:
             index.setdefault(arm.key, arm)
         object.__setattr__(self, "_arm_index", index)
+        object.__setattr__(self, "slots", slots := {})
+        ids = tuple(slots.setdefault((c.endpoint, c.trial_id, c.label_key), len(slots)) for c in self.contrasts)
+        object.__setattr__(self, "slot_ids", ids)
         by_endpoint: dict[str, dict[str, list[Estimand]]] = {}
+        object.__setattr__(self, "estimand_slots", estimand_slots := {})  # in step with `by_endpoint`
         for trial_id, trial in self.trials.items():
             for est in trial.estimands.values():
-                by_endpoint.setdefault(est.endpoint.key, {}).setdefault(trial_id, []).append(est)
+                by_endpoint.setdefault(key := est.endpoint.key, {}).setdefault(trial_id, []).append(est)
+                estimand_slots.setdefault(key, []).append(slots.get((key, trial_id, est.label_key), -1))
         object.__setattr__(self, "_estimand_index", by_endpoint)
 
-    def arm_summary(
-        self, trial_id: str, estimand_label: str, endpoint_key: str, treatment: str
-    ) -> Optional[ArmSummary]:
-        key = (trial_id, canonical(estimand_label), canonical(endpoint_key), canonical(treatment))
-        return self._arm_index.get(key)
+    def arm_summary(self, trial_id: str, estimand_label: str, endpoint_key: str,
+                    treatment: str) -> Optional[ArmSummary]:
+        """The arm row; keys are found as given, with no text canonicalized, since an index key is canonical."""
+        return self._arm_index.get((trial_id, estimand_label, endpoint_key, treatment)) or self._arm_index.get(
+            (trial_id, canonical(estimand_label), canonical(endpoint_key), canonical(treatment)))
 
     def endpoint_keys(self) -> tuple[str, ...]:
         return tuple(self._estimand_index)
@@ -307,8 +320,7 @@ class _Builder:
         trial_id = normalize_id(text_of(record, "trial_id"))
         if trial_id in self.trials:
             raise ValueError(f"duplicate trial {trial_id!r}")
-        arms = filter(None, map(normalize_id, names_of(record, "arms")))
-        self.trials[trial_id] = TrialRecord(trial_id=trial_id, arms=tuple(arms), estimands={})
+        self.trials[trial_id] = TrialRecord(trial_id=trial_id, arms=names_of(record, "arms"), estimands={})
 
     def _add_estimand(self, record: Mapping) -> None:
         """Declare an estimand of a trial: its five attributes as `Estimand.from_record` reads them."""
@@ -582,23 +594,27 @@ def _rule_errors(base: EvidenceBase) -> Iterator[tuple[str, int, str]]:
 def validate_evidence(base: EvidenceBase) -> list[Issue]:
     """Re-check invariants and flag analysis hazards; issues are data, not errors.
 
-    Each multi-arm (trial, estimand, endpoint) block is judged by the engine's own
-    `trial_blocks`, so a block warned of here is the one an analysis refuses.
+    Each multi-arm slot's block is judged by the engine's `group_blocks`, as an analysis's are:
+    all slots in one pass, and slot by slot only to name each refused trial.
     """
-    from .engine import CovarianceError, trial_blocks  # here, as engine imports this module
+    from .engine import CovarianceError, group_blocks  # here, as engine imports this module
     issues = [Issue("error", message) for _, _, message in _rule_errors(base)]
     for trial_id, trial in base.trials.items():  # a parse gives each estimand its trial's arms
         issues += [Issue("error", f"estimand {e.label!r} ({e.endpoint.key}) in trial {trial_id!r} treats "
                                   f"{sorted(e.treatments)}, not the trial's arms {list(trial.arms)}")
                    for e in trial.estimands.values() if e.treatment_keys != set(trial.arm_keys)]
 
-    groups: dict[tuple[str, str, str], list[ContrastEstimate]] = {}
-    for c in base.contrasts:
-        groups.setdefault((c.trial_id, c.label_key, c.endpoint), []).append(c)
-    for group in groups.values():
-        if len(group) > 1:
-            try:  # in a network's edge order: the block's rows, so its factorization, are the analysis's
-                trial_blocks(sorted(group, key=lambda c: (c.treatment_key, c.comparator_key)), base)
+    slots: list[list[ContrastEstimate]] = [[] for _ in base.slots]
+    for c, slot in zip(base.contrasts, base.slot_ids):
+        slots[slot].append(c)
+    # in a network's edge order: the block's rows, so its factorization, are the analysis's
+    multi = [sorted(group, key=lambda c: (c.treatment_key, c.comparator_key)) for group in slots if len(group) > 1]
+    try:
+        group_blocks(multi, base)
+    except CovarianceError:
+        for group in multi:
+            try:
+                group_blocks([group], base)
             except CovarianceError as exc:
                 issues.append(Issue("warning", str(exc)))
 

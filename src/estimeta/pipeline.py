@@ -3,10 +3,10 @@ feasibility, run per-slice analyses, and compare strategies side by side.
 
 A slice is one (meta-estimand, endpoint) pair, recorded once, as its
 `Restriction`.  Restriction gives each trial estimand of the endpoint one
-verdict, shared by the estimands that declare the same thing, and keeps
-exactly the contrasts whose estimand is admissible under the target; every
-input contrast lands in it exactly once, either used or excluded with
-reasons.  Feasibility reads the same verdicts and builds the slice's
+verdict, shared by the estimands that declare the same thing, which decides
+its slot of the base once: every input contrast lands in the restriction
+exactly once, used if its estimand is admissible under the target, or
+excluded with reasons.  Feasibility reads the same verdicts and builds the slice's
 covariance blocks from the caller's evidence base; the analysis solves over
 those blocks and returns the same `Restriction` as its provenance.  The plan
 that names the targets is read in `plan`.
@@ -18,6 +18,7 @@ import enum
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -108,55 +109,36 @@ class FeasibilityReport:
 def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> Restriction:
     """Keep the contrasts admissible under the meta-estimand for one endpoint.
 
-    Each trial estimand of the endpoint gets a verdict (`Restriction.verdicts`), one
-    per distinct `MetaEstimand.verdict_key`; contrasts, exclusion reasons and warnings read them.
+    Each trial estimand of the endpoint gets a verdict (`Restriction.verdicts`), one per distinct
+    `MetaEstimand.verdict_key`, which decides its slot (`EvidenceBase.slots`) once: its contrasts
+    are used, or excluded with the reasons they share, and a used slot adds its verdict's warnings.
     """
-    key = canonical(endpoint)
-    judged: dict[tuple, MatchVerdict] = {}
-    verdicts = {}
+    key = endpoint if endpoint in base.endpoint_keys() else canonical(endpoint)  # a key is canonical
+    judged, verdicts, warned = {}, {}, []  # judged: verdict key -> its verdict
+    fates: list = [()] * len(base.slots)  # per slot: None if used, else its reasons (() if no verdict)
+    slots = iter(base.estimand_slots.get(key, ()))
     for trial_id, ests in base.estimands_by_trial(key).items():
         for est in ests:
             signature = meta.verdict_key(est)
             if (verdict := judged.get(signature)) is None:
                 verdict = judged[signature] = matches_meta(est, meta)
             verdicts[trial_id, est.label_key] = (est, verdict)
-    used: list[ContrastEstimate] = []
-    excluded: list[ExcludedContrast] = []
+            if (slot := next(slots)) >= 0:
+                fates[slot] = None if verdict.compatible else verdict.blockers
+                if verdict.compatible and verdict.warnings:
+                    warned.append((slot, trial_id, verdict))
+    per_contrast = list(map(fates.__getitem__, base.slot_ids))
+    out = [fate is not None for fate in per_contrast]  # each contrast: is it excluded?
     mismatch: dict[str, tuple[str]] = {}  # another endpoint -> the one reason its contrasts share
-    warnings: dict[tuple[str, str], None] = {}
-    warned: set[tuple[str, str]] = set()  # a contrast's warnings are its trial estimand's verdict's
-    for contrast in base.contrasts:
-        if contrast.endpoint != key:
-            if (reasons := mismatch.get(contrast.endpoint)) is None:
-                reasons = mismatch[contrast.endpoint] = (f"endpoint mismatch: {contrast.endpoint} vs {key}",)
-            excluded.append(ExcludedContrast(contrast, reasons))
-            continue
-        if (entry := verdicts.get(slot := (contrast.trial_id, contrast.label_key))) is None:
-            excluded.append(
-                ExcludedContrast(
-                    contrast,
-                    (f"no estimand {contrast.estimand_label!r} declared for {contrast.trial_id!r}",),
-                )
-            )
-            continue
-        if not (verdict := entry[1]).compatible:
-            excluded.append(ExcludedContrast(contrast, verdict.blockers))
-            continue
-        used.append(contrast)
-        if slot not in warned:
-            warned.add(slot)
-            for attr, check in verdict.attributes.items():
-                if check.status == "warn":
-                    warnings.setdefault((_WARNING_CODES[attr], f"{contrast.trial_id}: {check.detail}"))
-
-    return Restriction(
-        meta=meta,
-        endpoint=key,
-        used=tuple(used),
-        excluded=tuple(excluded),
-        warnings=tuple(Reason(code, "warning", message) for code, message in warnings),
-        verdicts=verdicts,
-    )
+    reasons = [mismatch.setdefault(c.endpoint, (f"endpoint mismatch: {c.endpoint} vs {key}",)) if c.endpoint != key
+               else r or (f"no estimand {c.estimand_label!r} declared for {c.trial_id!r}",)
+               for c, r in zip(compress(base.contrasts, out), compress(per_contrast, out))]
+    warnings = dict.fromkeys((_WARNING_CODES[attr], f"{trial_id}: {check.detail}") for _, trial_id, verdict
+                             in sorted(warned) for attr, check in verdict.attributes.items() if check.status == "warn")
+    return Restriction(meta=meta, endpoint=key, used=tuple(compress(base.contrasts, [not e for e in out])),
+                       excluded=tuple(map(ExcludedContrast, compress(base.contrasts, out), reasons)),
+                       warnings=tuple(Reason(code, "warning", message) for code, message in warnings),
+                       verdicts=verdicts)
 
 
 def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> FeasibilityReport:
@@ -366,20 +348,11 @@ def feasibility_to_dict(report: FeasibilityReport) -> dict:
                 for (tid, _), (est, v) in verdicts.items()
             ],
         },
-        "used": [
-            {"trial_id": c.trial_id, "treatment": c.treatment, "comparator": c.comparator}
-            for c in report.restriction.used
-        ],
-        "excluded": [
-            {
-                "trial_id": e.contrast.trial_id,
-                "treatment": e.contrast.treatment,
-                "comparator": e.contrast.comparator,
-                "estimand_label": e.contrast.estimand_label,
-                "reasons": list(e.reasons),
-            }
-            for e in report.restriction.excluded
-        ],
+        "used": [{"trial_id": c.trial_id, "treatment": c.treatment, "comparator": c.comparator}
+                 for c in report.restriction.used],
+        "excluded": [{"trial_id": c.trial_id, "treatment": c.treatment, "comparator": c.comparator,
+                      "estimand_label": c.estimand_label, "reasons": list(reasons)}
+                     for c, reasons in report.restriction.excluded],
     }
 
 
@@ -395,16 +368,8 @@ def strategy_comparison_to_dict(table: StrategyComparison) -> dict:
                 "treatment": row.treatment,
                 "comparator": row.comparator,
                 "attenuation": row.attenuation,
-                **{
-                    label: {
-                        "md": c.md,
-                        "se": c.se,
-                        "ci_lower": c.ci_lower,
-                        "ci_upper": c.ci_upper,
-                        "ci_level": c.ci_level,
-                    }
-                    for label, c in row.by_label.items()
-                },
+                **{label: {"md": c.md, "se": c.se, "ci_lower": c.ci_lower, "ci_upper": c.ci_upper,
+                           "ci_level": c.ci_level} for label, c in row.by_label.items()},
             }
             for row in table.rows
         ],

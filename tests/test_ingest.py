@@ -543,6 +543,21 @@ class TestWritableInBothFormats:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TrialRecord(trial_id, arms, {})
 
+    @pytest.mark.parametrize("arms", [("A", "", "B"), ("A", " B "), (" A\t", "B", "  ")])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_trial_built_in_code_drops_blank_arms_and_trims_the_others(self, arms, fmt):
+        # as a parse does, so that the base serializes to text that parses back to it
+        estimand = Estimand(label="primary", population="adults", treatments=frozenset({"A", " B "}),
+                            endpoint=EndpointSpec("outcome", "u", 12), summary_measure=SummaryMeasure.MEAN_DIFFERENCE,
+                            ie_handlings=())
+        trial = TrialRecord("X1", arms, {("primary", "outcome"): estimand})
+        assert trial.arms == ("A", "B") and trial.arm_keys == ("a", "b")
+        contrast = ContrastEstimate(trial_id="X1", treatment="B", comparator="A", endpoint="outcome",
+                                    estimand_label="primary", md=0.5, se=0.25, source=UncertaintySource.REPORTED_SE)
+        base = EvidenceBase(trials={"X1": trial}, contrasts=(contrast,), arm_summaries=())
+        assert validate_evidence(base) == []
+        assert parse_evidence_text(serialize_evidence(base, fmt), fmt) == base
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_byte_order_mark_skipped(self, case_base, tmp_path, fmt):
         path = tmp_path / f"evidence.{fmt}"
