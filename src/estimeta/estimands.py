@@ -187,6 +187,13 @@ def _handlings(record: Mapping) -> tuple[IntercurrentEventHandling, ...]:
     )
 
 
+def class_key(est: Estimand) -> tuple:
+    """What `MetaEstimand.verdict_key` reads of `est` but its treatments: the estimands of one endpoint
+    that share it are one class of an evidence base (`EvidenceBase.estimand_classes`)."""
+    return (est.summary_measure, est.endpoint.name, est.endpoint.units, est.endpoint.timepoint_weeks,
+            est.population, *est.events.items())
+
+
 @dataclass(frozen=True)
 class MetaEstimand(Estimand):
     """A target estimand at the meta-analytical level, with matching policy."""
@@ -221,8 +228,7 @@ class MetaEstimand(Estimand):
 
     def verdict_key(self, est: Estimand) -> tuple:
         """All `matches_meta` reads of `est` under this target, quoted display strings included."""
-        return (est.summary_measure, est.endpoint.name, est.endpoint.units, est.endpoint.timepoint_weeks,
-                est.population, *est.events.items(), est.treatment_keys - self.treatment_keys)
+        return (*class_key(est), est.treatment_keys - self.treatment_keys)
 
 
 class Verdict(enum.Enum):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .estimands import Estimand, canonical, normalize_id
+from .estimands import Estimand, canonical, class_key, normalize_id
 from .normal import z_for_level
 from .records import (
     EvidenceFormatError,
@@ -200,11 +200,14 @@ class EvidenceBase:
     # endpoint key -> trial id -> that trial's estimands of the endpoint, all in declaration order
     _estimand_index: Mapping[str, Mapping[str, list[Estimand]]] = field(init=False, repr=False, compare=False)
     # a slot is an (endpoint key, trial id, estimand label key): the slots -> their ids, numbered in
-    # the order of their first contrasts; each contrast's slot id; and endpoint key -> the slot id of
-    # each of its estimands, in `estimands_by_trial` order, -1 for one that no contrast lies under
+    # the order of their first contrasts, and each contrast's slot id
     slots: Mapping[tuple[str, str, str], int] = field(init=False, repr=False, compare=False)
     slot_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    estimand_slots: Mapping[str, Sequence[int]] = field(init=False, repr=False, compare=False)
+    # endpoint key -> (its estimands' classes, which agree on all that `MetaEstimand.verdict_key` reads
+    # but the treatments: those reads -> [class id, first estimand, its trial id, the union of the
+    # members' treatment keys, whether a contrast lies under a member]; and (trial id, estimand, class
+    # id, slot id or -1 if no contrast lies under it) for each estimand, in `estimands_by_trial` order)
+    estimand_classes: Mapping[str, tuple[dict, list[tuple]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index: dict[tuple[str, str, str, str], ArmSummary] = {}
@@ -215,11 +218,16 @@ class EvidenceBase:
         ids = tuple(slots.setdefault((c.endpoint, c.trial_id, c.label_key), len(slots)) for c in self.contrasts)
         object.__setattr__(self, "slot_ids", ids)
         by_endpoint: dict[str, dict[str, list[Estimand]]] = {}
-        object.__setattr__(self, "estimand_slots", estimand_slots := {})  # in step with `by_endpoint`
+        object.__setattr__(self, "estimand_classes", tables := {})  # in step with `by_endpoint`
         for trial_id, trial in self.trials.items():
             for est in trial.estimands.values():
                 by_endpoint.setdefault(key := est.endpoint.key, {}).setdefault(trial_id, []).append(est)
-                estimand_slots.setdefault(key, []).append(slots.get((key, trial_id, est.label_key), -1))
+                classes, members = tables.setdefault(key, ({}, []))
+                if (kind := classes.get(shared_reads := class_key(est))) is None:
+                    kind = classes[shared_reads] = [len(classes), est, trial_id, set(), False]
+                kind[3].update(est.treatment_keys)
+                members.append((trial_id, est, kind[0], slot := slots.get((key, trial_id, est.label_key), -1)))
+                kind[4] |= slot >= 0
         object.__setattr__(self, "_estimand_index", by_endpoint)
 
     def arm_summary(self, trial_id: str, estimand_label: str, endpoint_key: str,
@@ -618,8 +626,8 @@ def validate_evidence(base: EvidenceBase) -> list[Issue]:
             except CovarianceError as exc:
                 issues.append(Issue("warning", str(exc)))
 
-    for key in base.endpoint_keys():
-        timepoints = sorted({e.endpoint.timepoint_weeks for ests in base.estimands_by_trial(key).values() for e in ests})
+    for key, (classes, _) in base.estimand_classes.items():  # a class's estimands share a timepoint
+        timepoints = sorted({first.endpoint.timepoint_weeks for _, first, *_ in classes.values()})
         if len(timepoints) > 1:
             listed = ", ".join(str(t) for t in timepoints)
             issues.append(Issue("warning", f"endpoint timepoints differ for {key}: {listed}"))

@@ -3,13 +3,15 @@ feasibility, run per-slice analyses, and compare strategies side by side.
 
 A slice is one (meta-estimand, endpoint) pair, recorded once, as its
 `Restriction`.  Restriction gives each trial estimand of the endpoint one
-verdict, shared by the estimands that declare the same thing, which decides
-its slot of the base once: every input contrast lands in the restriction
-exactly once, used if its estimand is admissible under the target, or
-excluded with reasons.  Feasibility reads the same verdicts and builds the slice's
-covariance blocks from the caller's evidence base; the analysis solves over
-those blocks and returns the same `Restriction` as its provenance.  The plan
-that names the targets is read in `plan`.
+verdict, shared by the estimands that declare the same thing and judged once
+per class of the base whose treatments the target covers, which decides its
+slot of the base once: every input contrast lands in the restriction exactly
+once, used if its estimand is admissible under the target, or excluded with
+reasons.  Feasibility reads the same verdicts, takes the slice's timepoints
+off its used classes and builds the slice's covariance blocks from the
+caller's evidence base; the analysis solves over those blocks and returns the
+same `Restriction` as its provenance.  The plan that names the targets is
+read in `plan`.
 """
 
 from __future__ import annotations
@@ -112,21 +114,30 @@ def restrict_evidence(base: EvidenceBase, meta: MetaEstimand, endpoint: str) -> 
     Each trial estimand of the endpoint gets a verdict (`Restriction.verdicts`), one per distinct
     `MetaEstimand.verdict_key`, which decides its slot (`EvidenceBase.slots`) once: its contrasts
     are used, or excluded with the reasons they share, and a used slot adds its verdict's warnings.
+    A class of the endpoint's estimands (`EvidenceBase.estimand_classes`) whose treatments the target
+    covers has one verdict key, its `class_key` with no treatment outside the target, so it is keyed
+    and judged once, on its first estimand; only a member of another class is keyed on its own.
     """
     key = endpoint if endpoint in base.endpoint_keys() else canonical(endpoint)  # a key is canonical
     judged, verdicts, warned = {}, {}, []  # judged: verdict key -> its verdict
+
+    def judge(est: Estimand) -> MatchVerdict:
+        if (verdict := judged.get(signature := meta.verdict_key(est))) is None:
+            verdict = judged[signature] = matches_meta(est, meta)
+        return verdict
+
+    classes, members = base.estimand_classes.get(key, ({}, ()))
+    for _, first, _, union, _ in classes.values():
+        if union <= meta.treatment_keys:  # so each member's verdict key is (*its class key, frozenset())
+            judge(first)
+    by_class = [judged.get((*shared_reads, frozenset())) for shared_reads in classes]
     fates: list = [()] * len(base.slots)  # per slot: None if used, else its reasons (() if no verdict)
-    slots = iter(base.estimand_slots.get(key, ()))
-    for trial_id, ests in base.estimands_by_trial(key).items():
-        for est in ests:
-            signature = meta.verdict_key(est)
-            if (verdict := judged.get(signature)) is None:
-                verdict = judged[signature] = matches_meta(est, meta)
-            verdicts[trial_id, est.label_key] = (est, verdict)
-            if (slot := next(slots)) >= 0:
-                fates[slot] = None if verdict.compatible else verdict.blockers
-                if verdict.compatible and verdict.warnings:
-                    warned.append((slot, trial_id, verdict))
+    for trial_id, est, kind, slot in members:
+        verdicts[trial_id, est.label_key] = (est, verdict := by_class[kind] or judge(est))
+        if slot >= 0:
+            fates[slot] = None if verdict.compatible else verdict.blockers
+            if verdict.compatible and verdict.warnings:
+                warned.append((slot, trial_id, verdict))
     per_contrast = list(map(fates.__getitem__, base.slot_ids))
     out = [fate is not None for fate in per_contrast]  # each contrast: is it excluded?
     mismatch: dict[str, tuple[str]] = {}  # another endpoint -> the one reason its contrasts share
@@ -170,8 +181,10 @@ def feasibility_report(base: EvidenceBase, meta: MetaEstimand, endpoint: str) ->
             except CovarianceError as exc:
                 reasons.append(Reason("covariance_unidentifiable", "error", str(exc)))
 
-        estimands = (restriction.verdicts[c.trial_id, c.label_key][0] for c in restriction.used)
-        timepoints = sorted({est.endpoint.timepoint_weeks for est in estimands})
+        # each used class's: a contrast lies under a member, and the members agree on compatibility
+        classes = base.estimand_classes[restriction.endpoint][0].values()  # (treatments only warn)
+        timepoints = sorted({first.endpoint.timepoint_weeks for _, first, trial_id, _, lies_under in classes
+                             if lies_under and restriction.verdicts[trial_id, first.label_key][1].compatible})
         if len(timepoints) > 1:
             listed = ", ".join(str(t) for t in timepoints)
             reasons.append(

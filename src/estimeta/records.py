@@ -12,6 +12,7 @@ import json
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
+from decimal import Decimal
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 
@@ -105,11 +106,13 @@ def as_number(value, name: str) -> float:
 
 
 def as_integer(value, name: str) -> int:
-    """A plain int from an integral number or numeral; a fraction is an error, not truncated."""
-    number = as_number(value, name)
-    if not number.is_integer():
+    """A plain int from an integral number or numeral, read exactly: a fraction is an error, not
+    truncated, and a whole number past 2**53 is not rounded to a float's."""
+    as_number(value, name)  # refuses a bool, a non-number and a value beyond a float's range
+    exact = Decimal(value) if isinstance(value, str) else value
+    if exact != int(exact):
         raise ValueError(f"field {name!r} is not an integer: {value!r}")
-    return int(number)
+    return int(exact)
 
 
 @contextmanager

@@ -881,3 +881,55 @@ class TestRoundTripProperty:
         text = serialize_evidence(base, fmt)
         assert "np." not in text
         assert parse_evidence_text(text, fmt) == base
+
+
+# --- whole numbers past a float's precision ----------------------------------------
+
+BIG = 2**53 + 1  # the least whole number a float cannot hold: float(BIG) == 2**53
+
+
+class TestWholeNumbersReadExactly:
+    """An integer field is read exactly, or refused; it is never rounded through a float."""
+
+    def test_csv_reads_a_big_timepoint_and_arm_n_exactly(self):
+        base = parse_evidence_text(PARITY_CSV.replace(",u,12,", f",u,{BIG},").replace(",A,100,", f",A,{BIG},"))
+        assert base.trials["T1"].estimands["primary", "outcome"].endpoint.timepoint_weeks == BIG
+        assert base.arm_summaries[0].n_randomized == BIG
+
+    @pytest.mark.parametrize("value", [BIG, str(BIG), f"{BIG}.0"], ids=["number", "numeral", "point-zero"])
+    def test_json_reads_a_big_timepoint_and_arm_n_exactly(self, value):
+        doc = parity_doc()
+        doc["estimands"][0]["timepoint_weeks"] = doc["arms"][0]["n"] = value
+        base = parse_json_doc(doc)
+        assert base.trials["T1"].estimands["primary", "outcome"].endpoint.timepoint_weeks == BIG
+        assert base.arm_summaries[0].n_randomized == BIG
+
+    @pytest.mark.parametrize("value", [f"{BIG}.5", "9007199254740992.000001"])
+    def test_a_fraction_a_float_would_round_to_a_whole_number_is_refused(self, value):
+        assert float(value).is_integer()
+        with pytest.raises(EvidenceFormatError, match=r"line 6: field 'timepoint_weeks' is not an integer"):
+            parse_evidence_text(PARITY_CSV.replace(",u,12,", f",u,{value},"))
+
+    def test_an_arm_row_built_in_code_keeps_its_n(self):
+        assert make_arm_n(BIG).n_randomized == BIG
+        assert make_arm_n(str(BIG)).n_randomized == BIG
+
+    def test_a_base_built_in_code_round_trips_in_both_formats(self):
+        base = parse_evidence_text(PARITY_CSV)
+        (est,) = base.trials["T1"].estimands.values()
+        big = dataclasses.replace(est, endpoint=EndpointSpec(name="outcome", units="u", timepoint_weeks=BIG))
+        trials = {"T1": TrialRecord("T1", ("A", "B", "C"), {("primary", "outcome"): big})}
+        built = EvidenceBase(trials=trials, contrasts=base.contrasts,
+                             arm_summaries=(dataclasses.replace(base.arm_summaries[0], n_randomized=BIG),
+                                            *base.arm_summaries[1:]))
+        assert validate_evidence(built) == []
+        for fmt in ("csv", "json"):
+            assert parse_evidence_text(serialize_evidence(built, fmt), fmt) == built
+
+    @pytest.mark.parametrize("value", [BIG, str(BIG)], ids=["number", "numeral"])
+    def test_a_plan_reads_a_big_timepoint_tolerance_exactly(self, value):
+        from estimeta.plan import load_config
+
+        record = {"label": "target", "strategy": "hypothetical", "timepoint_tolerance_weeks": value}
+        config = load_config({"meta_estimands": [record], "endpoints": ["outcome"]}, parse_evidence_text(PARITY_CSV))
+        assert config.meta_estimands[0].timepoint_tolerance_weeks == BIG

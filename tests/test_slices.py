@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import groupby
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -354,3 +355,71 @@ def test_validation_judges_every_multi_arm_slot_in_one_pass(monkeypatch):
     monkeypatch.setattr(engine, "group_blocks", lambda groups, base: calls.append(len(groups)) or judge(groups, base))
     assert ingest.validate_evidence(base) == []
     assert calls == [5]
+
+
+# --- classes of estimands: one verdict key per class the target covers -------------------------
+
+
+def test_the_generator_reaches_a_class_the_target_does_not_cover():
+    """So the oracle property above runs restriction's per-estimand keys as well as its class verdicts."""
+    covered = set()
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        base, meta = random_base(rng), random_meta(rng)
+        covered |= {union <= meta.treatment_keys for classes, _ in base.estimand_classes.values()
+                    for _, _, _, union, _ in classes.values()}
+    assert covered == {True, False}
+
+
+def _classed_base(blocked_weeks=None, extra_estimands=()):
+    """A parsed base of twelve trials whose estimands fall into four classes (two timepoints by two
+    populations); two trials, of two classes, have an arm outside the target's treatments A-D.  The
+    estimands at `blocked_weeks` handle the event by treatment policy, which a hypothetical target
+    refuses."""
+    pool = ["A", "B", "C", "D", "E", "F"]
+    rows = {"trials": [], "estimands": list(extra_estimands), "contrasts": []}
+    for t in range(12):
+        arms = [pool[t % 4], pool[(t + 1) % 4]] + ([pool[4 + t % 2]] if t in (0, 3) else [])
+        rows["trials"].append(f"T{t},{';'.join(arms)}")
+        population, weeks = ("adults", "older adults")[t % 2], (12, 14)[t // 6]
+        strategy = "treatment_policy" if weeks == blocked_weeks else "hypothetical"
+        rows["estimands"].append(f"T{t},primary,{population},outcome,u,{weeks},mean_difference,{EVENT}:{strategy}")
+        rows["contrasts"] += [f"T{t},primary,outcome,{arm},{arms[0]},0.{t},0.5,,," for arm in arms[1:]]
+    header = {name: ",".join(fields) for name, fields in ingest._SECTION_FIELDS.items()}
+    return ingest.parse_evidence_text("".join(f"#{name}\n{header[name]}\n" + "".join(r + "\n" for r in records)
+                                              for name, records in rows.items()))
+
+
+CLASSED_TARGET = MetaEstimand(label="target", population="adults", treatments=frozenset("ABCD"),
+                              endpoint=_outcome(), summary_measure=SummaryMeasure.MEAN_DIFFERENCE,
+                              ie_handlings=(IntercurrentEventHandling(EVENT, HYP),))
+
+
+def test_restriction_keys_each_covered_class_once(monkeypatch):
+    base, meta = _classed_base(), CLASSED_TARGET
+    classes, members = base.estimand_classes["outcome"]
+    uncovered = {kind for kind, _, _, union, _ in classes.values() if not union <= meta.treatment_keys}
+    fallback = sum(kind in uncovered for _, _, kind, _ in members)
+    assert len(classes) == 4 and 0 < len(uncovered) < 4 and fallback < len(members)
+    keys, original = [], MetaEstimand.verdict_key
+    monkeypatch.setattr(MetaEstimand, "verdict_key", lambda self, est: keys.append(est) or original(self, est))
+    restriction = restrict_evidence(base, meta, "outcome")
+    assert len(keys) <= len(classes) - len(uncovered) + fallback
+    monkeypatch.setattr(MetaEstimand, "verdict_key", original)
+    expected = oracle_restrict(base, meta, "outcome")
+    assert list(restriction.verdicts.items()) == list(expected.verdicts.items())
+    assert restriction.used == expected.used and restriction.warnings == expected.warnings
+
+
+@pytest.mark.parametrize("blocked_weeks", [None, 12, 14])
+def test_feasibility_reads_the_timepoints_of_the_used_classes(blocked_weeks):
+    """Only a class with a used contrast names its timepoint: not one whose estimands are refused, nor
+    one (the 15-week estimand) that no contrast lies under."""
+    unused = f"T0,alt,adults,outcome,u,15,mean_difference,{EVENT}:hypothetical"
+    base = _classed_base(blocked_weeks, [unused])
+    report = feasibility_report(base, CLASSED_TARGET, "outcome")
+    used = report.restriction.used
+    timepoints = sorted({report.restriction.verdicts[c.trial_id, c.label_key][0].endpoint.timepoint_weeks for c in used})
+    assert timepoints == ([12, 14] if blocked_weeks is None else [26 - blocked_weeks])
+    spread = [r.message for r in report.reasons if r.code == "timepoint_spread"]
+    assert spread == (["endpoint timepoints differ: 12, 14"] if blocked_weeks is None else [])
